@@ -45,11 +45,7 @@ fn parse_seed(s: &str) -> u64 {
         }
     }
     // Any other spelling: FNV-1a, stable across runs.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    ptb_farm::hash::fnv1a64(s.as_bytes())
 }
 
 struct Args {

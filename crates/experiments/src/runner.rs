@@ -4,15 +4,14 @@
 //! by default: previously simulated points load from disk, misses run
 //! in parallel on the farm's work-stealing executor, and every batch
 //! prints a one-line `[farm]` hit/miss summary to stderr. Set
-//! `PTB_NO_CACHE=1` (or pass `--no-cache`) for the uncached in-process
-//! thread pool.
+//! `PTB_NO_CACHE=1` (or pass `--no-cache`) to simulate every point on
+//! the same executor without the store.
 
-use parking_lot::Mutex;
 use ptb_core::{MechanismKind, RunReport, SimConfig, Simulation};
 use ptb_farm::{exec, ExecConfig, Farm, FarmJob, JobError, Quarantine};
 use ptb_metrics::Table;
 use ptb_workloads::{Benchmark, Scale};
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -284,50 +283,6 @@ impl Runner {
             })
     }
 
-    /// Run all jobs across worker threads; results come back in job order.
-    ///
-    /// With a farm attached, the batch is deduplicated, cache hits load
-    /// from the store, and only misses simulate (on the farm's
-    /// work-stealing executor); the batch outcome is summarised on
-    /// stderr. Without one, every job simulates in-process.
-    pub fn run_all(&self, jobs: &[Job]) -> Vec<RunReport> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        if let Some(farm) = &self.farm {
-            let fjobs: Vec<FarmJob> = jobs.iter().map(|j| self.farm_job(j)).collect();
-            let before = farm.stats();
-            let reports = farm.run_batch(&fjobs, self.jobs);
-            let batch = farm.stats().since(&before);
-            eprintln!(
-                "[farm] {} (store {})",
-                batch.summary(),
-                farm.dir().display()
-            );
-            return reports;
-        }
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..jobs.len()).collect());
-        let results: Mutex<Vec<Option<RunReport>>> = Mutex::new(vec![None; jobs.len()]);
-        let n_workers = self.jobs.min(jobs.len()).max(1);
-        crossbeam::scope(|s| {
-            for _ in 0..n_workers {
-                s.spawn(|_| loop {
-                    let Some(idx) = queue.lock().pop_front() else {
-                        break;
-                    };
-                    let report = self.run_one(jobs[idx]);
-                    results.lock()[idx] = Some(report);
-                });
-            }
-        })
-        .expect("worker panicked");
-        results
-            .into_inner()
-            .into_iter()
-            .map(|r| r.expect("job completed"))
-            .collect()
-    }
-
     /// Executor policy for failure-isolating sweeps.
     fn exec_config(&self) -> ExecConfig {
         ExecConfig {
@@ -475,10 +430,6 @@ impl Sweep {
     }
 }
 
-// `RunReport` contains no interior mutability and Simulation is
-// constructed per job, so sharing &Runner across the scope is safe by
-// construction (everything is Sync).
-
 /// Print a table and write `.txt` + `.csv` artefacts into the runner's
 /// output directory.
 pub fn emit(runner: &Runner, name: &str, table: &Table) {
@@ -551,7 +502,9 @@ mod tests {
             Job::new(Benchmark::Radix, MechanismKind::None, 2),
             Job::new(Benchmark::Fft, MechanismKind::Dvfs, 2),
         ];
-        let parallel = r.run_all(&jobs);
+        let swept = r.sweep(&jobs);
+        assert!(swept.complete());
+        let parallel = swept.expect_complete();
         for (job, rep) in jobs.iter().zip(&parallel) {
             let serial = r.run_one(*job);
             assert_eq!(serial.cycles, rep.cycles, "{:?}", job);
@@ -566,13 +519,13 @@ mod tests {
             Job::new(Benchmark::Fft, MechanismKind::None, 2),
             Job::new(Benchmark::Fft, MechanismKind::Dvfs, 2),
         ];
-        let cold = r.run_all(&jobs);
+        let cold = r.sweep(&jobs).expect_complete();
         let uncached = test_runner();
         for (job, rep) in jobs.iter().zip(&cold) {
             let direct = uncached.run_one(*job);
             assert_eq!(direct.cycles, rep.cycles, "{job:?}");
         }
-        let warm = r.run_all(&jobs);
+        let warm = r.sweep(&jobs).expect_complete();
         let stats = r.farm.as_ref().unwrap().stats();
         assert_eq!(stats.misses, 2, "cold run simulated");
         assert_eq!(stats.hits, 2, "warm run served from store");
@@ -605,19 +558,26 @@ mod tests {
 
     #[test]
     fn sweep_matches_run_all_when_healthy() {
+        // The failure-isolating sweep must agree with the fail-fast
+        // run-everything path (`Farm::run_batch`) when nothing fails.
         let r = test_runner();
+        let (farmed, dir) = farmed_runner("run-all");
         let jobs = vec![
             Job::new(Benchmark::Fft, MechanismKind::None, 2),
             Job::new(Benchmark::Radix, MechanismKind::None, 2),
         ];
-        let all = r.run_all(&jobs);
+        let fjobs: Vec<FarmJob> = jobs.iter().map(|j| farmed.farm_job(j)).collect();
+        let all = farmed.farm.as_ref().unwrap().run_batch(&fjobs, 2);
         let swept = r.sweep(&jobs);
         assert!(swept.complete());
+        assert!(swept.dropped_labels().is_empty());
         let swept = swept.expect_complete();
+        assert_eq!(all.len(), swept.len());
         for (a, b) in all.iter().zip(&swept) {
             assert_eq!(a.cycles, b.cycles);
             assert_eq!(a.energy_tokens, b.energy_tokens);
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

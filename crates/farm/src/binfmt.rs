@@ -1,12 +1,8 @@
-//! Compact binary envelope format for store entries.
+//! The `PTBE` frame: the one on-disk representation of a store entry.
 //!
-//! The pretty-printed JSON envelope (one per entry, human-greppable) is
-//! the right debugging format but the wrong serving format: at service
-//! scale (~10⁵ entries, thousands of lookups per second) its per-read
-//! cost is dominated by parsing whitespace-heavy text. The binary
-//! envelope keeps the job/report payloads as *compact* JSON (the only
-//! serialiser the offline vendor set provides) but wraps them in a
-//! versioned, length-prefixed, checksummed frame, so a reader can
+//! It keeps the job/report payloads as *compact* JSON (the only
+//! serialiser the offline vendor set provides) inside a versioned,
+//! length-prefixed, checksummed frame, so a reader can
 //!
 //! * reject truncation and bit rot with one integer compare (the
 //!   trailing FNV-1a checksum covers every preceding byte) instead of a
@@ -34,6 +30,8 @@
 //! magic, absurd lengths, checksum mismatch — returns a typed reason
 //! string (mapped to a corrupt-entry miss by the store), never panics.
 
+use crate::hash::fnv1a64;
+
 /// Magic bytes opening every binary envelope.
 pub const MAGIC: [u8; 4] = *b"PTBE";
 
@@ -50,16 +48,6 @@ const TRAILER: usize = 8;
 /// Sanity ceiling on any single section (64 MiB) so a corrupt length
 /// field cannot drive a huge allocation.
 const MAX_SECTION: u32 = 64 << 20;
-
-/// FNV-1a 64 over `bytes` (same construction as `crate::hash`).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A decoded envelope: borrowed views into the input buffer.
 #[derive(Debug, PartialEq, Eq)]

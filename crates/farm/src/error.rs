@@ -27,8 +27,8 @@ pub enum FarmError {
         /// The underlying error.
         source: io::Error,
     },
-    /// A content key that cannot name a store entry (e.g. one that
-    /// produces an entry path without a parent directory).
+    /// A content key that cannot name a store entry: anything but the
+    /// 32-char lowercase-hex digest [`crate::FarmJob::key`] produces.
     BadKey {
         /// The offending key.
         key: String,

@@ -8,10 +8,18 @@
 //! digest; and because [`crate::ResultStore::get`] additionally compares
 //! the stored config tree against the requested one, even a hash
 //! collision degrades to a re-simulation, never to a wrong result.
+//!
+//! The module is also the repository's one home of the small stable
+//! hashes the farm and the service share: [`fnv1a64`] (also the `PTBE`
+//! frame checksum and `sim_check`'s seed spelling), [`splitmix64`], and
+//! [`SiteRolls`], the seeded per-site fault roll behind `ChaosIo` and
+//! `ChaosNet`.
 
 use ptb_core::SimConfig;
 use ptb_workloads::WorkloadSpec;
 use serde::{json, Map, Serialize, Value};
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -27,6 +35,55 @@ fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Standard 64-bit FNV-1a of `bytes`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a(bytes, FNV_BASIS_A)
+}
+
+/// The SplitMix64 finaliser: decorrelates structured 64-bit inputs.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// Seeded, replayable uniform draws for fault injection.
+///
+/// Each draw is a pure function of `(seed, site, ordinal)`, where the
+/// site hashes two names (an operation tag and a path or fault class)
+/// and the ordinal counts earlier draws at that site. So the nth
+/// operation on one site meets the same fate whatever other threads do,
+/// and a failing chaos run replays from its seed alone.
+#[derive(Debug)]
+pub struct SiteRolls {
+    seed: u64,
+    ordinals: Mutex<HashMap<u64, u64>>,
+}
+
+impl SiteRolls {
+    /// Draws derived from `seed`.
+    pub fn new(seed: u64) -> Self {
+        SiteRolls {
+            seed,
+            ordinals: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Uniform `[0, 1)` draw for the next operation at site `(a, b)`.
+    pub fn roll(&self, a: &[u8], b: &[u8]) -> f64 {
+        let site = fnv1a64(a) ^ fnv1a64(b);
+        let ordinal = {
+            let mut m = self.ordinals.lock().expect("chaos ordinal lock");
+            let n = m.entry(site).or_insert(0);
+            *n += 1;
+            *n
+        };
+        let bits = splitmix64(self.seed ^ site ^ ordinal.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        (bits >> 11) as f64 / (1u64 << 53) as f64
+    }
 }
 
 /// 128-bit hex digest (32 lowercase hex chars) of `material`.
@@ -80,6 +137,23 @@ mod tests {
         assert_eq!(digest_hex(b"abc"), digest_hex(b"abc"));
         assert_ne!(digest_hex(b"abc"), digest_hex(b"abd"));
         assert_eq!(digest_hex(b"").len(), 32);
+    }
+
+    /// Keys and `PTBE` checksums are persisted and CI seeds committed,
+    /// so these values must never change.
+    #[test]
+    fn pinned_values_never_change() {
+        assert_eq!(digest_hex(b"abc"), "e71fa2190541574baf296de3c3b6ffb0");
+        let job = crate::FarmJob::new(
+            Benchmark::Fft,
+            SimConfig {
+                mechanism: MechanismKind::None,
+                ..cfg(2)
+            },
+        );
+        assert_eq!(job.key(), "09a70358d2b6a7ee6bed3387c78c30f1");
+        // `sim_check --seed 0xPTB`, the CI fuzzing seed.
+        assert_eq!(fnv1a64(b"0xPTB"), 0x62e5_587d_3f29_0b09);
     }
 
     #[test]

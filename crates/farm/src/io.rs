@@ -23,12 +23,11 @@
 //! keys regardless of worker interleaving, and a failing chaos run can
 //! be replayed from its seed alone.
 
-use std::collections::HashMap;
+use crate::hash::{fnv1a64, splitmix64, SiteRolls};
 use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Filesystem operations the store and journal perform.
 ///
@@ -38,9 +37,9 @@ pub trait FarmIo: Send + Sync {
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
     /// `std::fs::read_to_string`.
     fn read_to_string(&self, path: &Path) -> io::Result<String>;
-    /// `std::fs::read` (binary store envelopes and the packed index).
+    /// `std::fs::read` (store entries).
     fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Size of a file in bytes (index rebuild without reading content).
+    /// Size of a file in bytes (store size summary without reading content).
     fn file_size(&self, path: &Path) -> io::Result<u64>;
     /// `std::fs::write` (whole-file publish of a store temp file).
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()>;
@@ -55,9 +54,6 @@ pub trait FarmIo: Send + Sync {
     /// Append one journal line (including its trailing newline) and
     /// flush. `path` is the journal's path, passed for fault addressing.
     fn append_line(&self, file: &mut File, line: &str, path: &Path) -> io::Result<()>;
-    /// Append one binary record (a packed index record) and flush.
-    /// `path` is the index's path, passed for fault addressing.
-    fn append_bytes(&self, file: &mut File, bytes: &[u8], path: &Path) -> io::Result<()>;
     /// Injected-fault counters under the `farm.chaos.*` namespace
     /// (empty for non-chaotic implementations).
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -106,10 +102,6 @@ impl FarmIo for RealIo {
     }
     fn append_line(&self, file: &mut File, line: &str, _path: &Path) -> io::Result<()> {
         file.write_all(line.as_bytes())?;
-        file.flush()
-    }
-    fn append_bytes(&self, file: &mut File, bytes: &[u8], _path: &Path) -> io::Result<()> {
-        file.write_all(bytes)?;
         file.flush()
     }
 }
@@ -165,26 +157,9 @@ pub struct ChaosIo<I: FarmIo = RealIo> {
     inner: I,
     cfg: ChaosConfig,
     stats: ChaosStats,
-    /// Per-(tag, path) operation ordinals, so the nth read of one key is
-    /// a stable fault site independent of what other threads do.
-    ordinals: Mutex<HashMap<u64, u64>>,
-}
-
-/// FNV-1a over arbitrary bytes (the repo's standard cheap stable hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// splitmix64 finaliser: decorrelates the structured site hash.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+    /// Per-(tag, path) draws, so the nth read of one key is a stable
+    /// fault site independent of what other threads do.
+    rolls: SiteRolls,
 }
 
 impl ChaosIo<RealIo> {
@@ -201,7 +176,7 @@ impl<I: FarmIo> ChaosIo<I> {
             inner,
             cfg,
             stats: ChaosStats::default(),
-            ordinals: Mutex::new(HashMap::new()),
+            rolls: SiteRolls::new(cfg.seed),
         }
     }
 
@@ -218,15 +193,8 @@ impl<I: FarmIo> ChaosIo<I> {
     /// Uniform `[0, 1)` draw for the next operation of class `tag` on
     /// `path`. Deterministic per (seed, tag, path, ordinal).
     fn roll(&self, tag: &str, path: &Path) -> f64 {
-        let site = fnv1a(tag.as_bytes()) ^ fnv1a(path.as_os_str().as_encoded_bytes());
-        let ordinal = {
-            let mut m = self.ordinals.lock().expect("chaos ordinal lock");
-            let n = m.entry(site).or_insert(0);
-            *n += 1;
-            *n
-        };
-        let bits = splitmix(self.cfg.seed ^ site ^ ordinal.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        (bits >> 11) as f64 / (1u64 << 53) as f64
+        self.rolls
+            .roll(tag.as_bytes(), path.as_os_str().as_encoded_bytes())
     }
 }
 
@@ -241,7 +209,7 @@ impl<I: FarmIo> FarmIo for ChaosIo<I> {
             self.stats.read_corrupt.fetch_add(1, Ordering::Relaxed);
             // Flip one byte at a seeded position to a character that is
             // guaranteed to break JSON, modelling bit rot / a torn page.
-            let pos = (splitmix(self.cfg.seed ^ fnv1a(text.as_bytes())) as usize) % text.len();
+            let pos = (splitmix64(self.cfg.seed ^ fnv1a64(text.as_bytes())) as usize) % text.len();
             let mut bytes = text.into_bytes();
             bytes[pos] = b'\x01';
             return Ok(String::from_utf8_lossy(&bytes).into_owned());
@@ -255,7 +223,7 @@ impl<I: FarmIo> FarmIo for ChaosIo<I> {
             self.stats.read_corrupt.fetch_add(1, Ordering::Relaxed);
             // Flip one byte at a seeded position, modelling bit rot; the
             // binary envelope's checksum must catch it.
-            let pos = (splitmix(self.cfg.seed ^ fnv1a(&bytes)) as usize) % bytes.len();
+            let pos = (splitmix64(self.cfg.seed ^ fnv1a64(&bytes)) as usize) % bytes.len();
             bytes[pos] ^= 0xa5;
         }
         Ok(bytes)
@@ -331,27 +299,6 @@ impl<I: FarmIo> FarmIo for ChaosIo<I> {
         file.flush()
     }
 
-    fn append_bytes(&self, file: &mut File, bytes: &[u8], path: &Path) -> io::Result<()> {
-        if self.roll("append", path) < self.cfg.torn_append {
-            self.stats.torn_appends.fetch_add(1, Ordering::Relaxed);
-            // Model a crash mid-append: a prefix lands and the caller
-            // sees an error. Index replay must skip the torn record.
-            let cut = bytes.len() / 2;
-            file.write_all(&bytes[..cut])?;
-            file.flush().ok();
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "chaos: injected torn append",
-            ));
-        }
-        file.write_all(bytes)?;
-        if self.roll("fsync", path) < self.cfg.fsync_drop {
-            self.stats.fsync_drops.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        file.flush()
-    }
-
     fn counters(&self) -> Vec<(&'static str, u64)> {
         vec![
             (
@@ -392,6 +339,11 @@ mod tests {
         let seq_a: Vec<f64> = (0..8).map(|_| a.roll("write", &p)).collect();
         let seq_b: Vec<f64> = (0..8).map(|_| b.roll("write", &p)).collect();
         assert_eq!(seq_a, seq_b, "same seed, same site: same sequence");
+        // Fault placement is part of every committed chaos seed: pinned.
+        assert_eq!(
+            seq_a[..3],
+            [0.6468571148481327, 0.5887690164780355, 0.8512601297408671]
+        );
         // Interleaving ops on another path must not shift p's sequence.
         let c = ChaosIo::new(ChaosConfig::uniform(42, 0.5));
         let seq_c: Vec<f64> = (0..8)

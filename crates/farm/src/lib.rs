@@ -6,9 +6,10 @@
 //! regenerating the artefact set incremental:
 //!
 //! * [`ResultStore`] — every [`ptb_core::RunReport`] is persisted on
-//!   disk keyed by a stable content hash of the canonicalised
-//!   [`ptb_core::SimConfig`], the full workload spec (which carries the
-//!   RNG seed), and the store/report format versions. Any figure binary
+//!   disk as one checksummed `PTBE` file ([`binfmt`]), keyed by a stable
+//!   content hash of the canonicalised [`ptb_core::SimConfig`], the full
+//!   workload spec (which carries the RNG seed), and the store/report
+//!   format versions. Any figure binary
 //!   that needs a previously simulated point loads it in milliseconds
 //!   instead of re-simulating.
 //! * [`Journal`] — a persistent append-only job journal. Jobs are
@@ -44,9 +45,10 @@
 //! Store entries are never trusted blindly. Each entry embeds its own
 //! key, the format versions, and the full job (benchmark + config) it
 //! answers for; [`ResultStore::get`] re-checks all of them against the
-//! request and treats any mismatch — truncated JSON, a stale format
-//! version, or a config that no longer matches its hash — as a miss,
-//! deleting the entry so it is re-simulated rather than believed.
+//! request and treats any mismatch — a truncated or bit-flipped frame,
+//! a stale format version, or a config that no longer matches its hash
+//! — as a miss, deleting the entry so it is re-simulated rather than
+//! believed.
 //!
 //! ## Quick start
 //!
@@ -78,7 +80,6 @@ pub mod binfmt;
 pub mod error;
 pub mod exec;
 pub mod hash;
-pub mod index;
 pub mod io;
 pub mod journal;
 pub mod quarantine;
@@ -91,9 +92,7 @@ pub use io::{ChaosConfig, ChaosIo, FarmIo, RealIo};
 pub use journal::{Journal, JournalStats};
 pub use quarantine::{Quarantine, QuarantineEntry, QUARANTINE_FILE};
 pub use stats::{FarmSnapshot, FarmStats};
-pub use store::{
-    EntryFormat, MigrateReport, ResultStore, StoreDiskStats, StoreLookup, INDEX_FILE, STORE_FORMAT,
-};
+pub use store::{ResultStore, StoreDiskStats, StoreLookup, STORE_FORMAT};
 
 use ptb_core::sim::SimError;
 use ptb_core::{RunReport, SimConfig, Simulation};
@@ -207,18 +206,8 @@ impl Farm {
     /// [`Farm::open`] with every store/journal filesystem operation
     /// routed through `io` (pass a [`ChaosIo`] to fault-inject).
     pub fn open_with_io(dir: impl AsRef<Path>, io: Arc<dyn FarmIo>) -> Result<Farm, FarmError> {
-        Self::open_with_io_format(dir, io, EntryFormat::Json)
-    }
-
-    /// [`Farm::open_with_io`] choosing the representation new store
-    /// entries are written in (either is always read back).
-    pub fn open_with_io_format(
-        dir: impl AsRef<Path>,
-        io: Arc<dyn FarmIo>,
-        format: EntryFormat,
-    ) -> Result<Farm, FarmError> {
         let dir = dir.as_ref().to_path_buf();
-        let store = ResultStore::open_with_format(dir.join("objects"), io.clone(), format)?;
+        let store = ResultStore::open_with(dir.join("objects"), io.clone())?;
         let journal_path = dir.join("journal.jsonl");
         let mut carried = JournalStats::default();
         if Journal::load_pending_with(&journal_path, io.as_ref())?.is_empty() {
@@ -249,8 +238,6 @@ impl Farm {
     /// * `PTB_NO_CACHE` set (to anything but `0`) — disabled, returns
     ///   `None`;
     /// * `PTB_FARM_DIR` — store location (default `target/farm`);
-    /// * `PTB_STORE_FORMAT` — `json` (default) or `bin`/`binary`, the
-    ///   representation new store entries are written in;
     /// * `PTB_CHAOS` — fault-injection rate in `[0, 1]`; non-zero wraps
     ///   the filesystem in a [`ChaosIo`] (testing only);
     /// * `PTB_CHAOS_SEED` — seed for the injected faults (default 0).
@@ -266,10 +253,6 @@ impl Farm {
         let dir = std::env::var("PTB_FARM_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("target/farm"));
-        let format = std::env::var("PTB_STORE_FORMAT")
-            .ok()
-            .and_then(|v| EntryFormat::parse(&v))
-            .unwrap_or_default();
         let chaos_rate = std::env::var("PTB_CHAOS")
             .ok()
             .and_then(|v| v.parse::<f64>().ok())
@@ -284,7 +267,7 @@ impl Farm {
         } else {
             Arc::new(RealIo)
         };
-        match Farm::open_with_io_format(&dir, io, format) {
+        match Farm::open_with_io(&dir, io) {
             Ok(farm) => Some(farm),
             Err(e) => {
                 eprintln!(
@@ -570,9 +553,6 @@ impl Farm {
                 }
             }
         }
-        // The walk above is authoritative; re-derive the packed index
-        // from it so stale index state cannot outlive a verify.
-        self.store.rebuild_index()?;
         Ok((ok, dropped))
     }
 

@@ -1,45 +1,26 @@
 //! Content-addressed on-disk result store.
 //!
-//! Layout: one entry file per result at `objects/<k₀k₁>/<key>.<ext>`
-//! (two-hex-char fan-out, git-style), in one of two interchangeable
-//! representations of the same envelope:
+//! Layout: one entry file per result at `objects/<k₀k₁>/<key>.bin`
+//! (two-hex-char fan-out, git-style), holding the checksummed `PTBE`
+//! frame of [`crate::binfmt`]. A key is the 32-char lowercase-hex digest
+//! [`FarmJob::key`] produces, and each key has exactly one path. Any
+//! other key maps to no path at all, so a key taken from a request can
+//! never make the store touch a file outside its shard directories.
 //!
-//! * **JSON** (`.json`, the default) — pretty-printed, human-greppable:
-//!
-//!   ```json
-//!   {
-//!     "store_format": 2,
-//!     "report_format": 1,
-//!     "key": "6f0c…",
-//!     "job": { "bench": "fft", "config": { … } },
-//!     "report": { … }
-//!   }
-//!   ```
-//!
-//! * **Binary** (`.bin`) — the compact [`crate::binfmt`] frame
-//!   (versioned, length-prefixed, FNV-1a-checksummed) for service-scale
-//!   stores where per-read parse cost matters.
-//!
-//! The representation is a property of the *store handle*
-//! ([`EntryFormat`], chosen at open), not of the format version:
-//! both encode `STORE_FORMAT` envelopes, readers accept either (and the
-//! pre-shard flat legacy layout `objects/<key>.json`), and
-//! [`ResultStore::migrate`] rewrites a store from one to the other in
-//! place.
-//!
-//! A packed index file (`objects/index.bin`, see [`crate::index`])
-//! mirrors the entry population: rebuilt on open when absent or
-//! unreadable, appended on every put/remove. It accelerates
-//! whole-store queries ([`ResultStore::disk_stats`]) from an
-//! O(entries) directory walk to one in-memory map read; it is never
-//! consulted on the entry read path, so a stale index cannot produce a
-//! wrong report.
+//! The store is a cache, so it needs no converter: whatever else the
+//! directory holds — `.json` entries or an `index.bin` left by older
+//! layouts, a torn temp file — is never read, listed or counted. A
+//! point stored only in an older layout is a miss: it is simulated once
+//! more and stored as `.bin`.
 //!
 //! Writes are atomic (temp file + rename) and verified to round-trip
 //! before they are published, so readers never observe a torn or
 //! unparsable entry that was written by a healthy process. Reads
 //! re-validate everything: the format versions, the embedded key
 //! against the filename, and the embedded config against the request.
+//! Whole-store questions ([`ResultStore::keys`],
+//! [`ResultStore::disk_stats`]) walk the shard directories, so there is
+//! no second on-disk state to go stale.
 //!
 //! All filesystem traffic flows through a [`FarmIo`] handle, so the
 //! chaos test suite can inject ENOSPC, partial writes and read
@@ -50,72 +31,19 @@
 
 use crate::binfmt;
 use crate::error::FarmError;
-use crate::index::{IndexEntry, IndexRecord, IndexState};
 use crate::io::{FarmIo, RealIo};
 use crate::FarmJob;
 use ptb_core::RunReport;
-use serde::{json, Deserialize, Map, Serialize, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fs::File;
+use serde::{json, Deserialize, Serialize, Value};
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// On-disk format version of store envelopes. Bump on any layout or
+/// On-disk format version of store entries. Bump on any layout or
 /// semantics change; old entries then fail validation and re-run.
 /// (v2: `SimConfig` gained the `spin_cycle_budget` livelock watchdog.)
-/// The JSON/binary representation choice is *not* versioned here: both
-/// encode the same envelope, so switching representations must not
-/// invalidate existing entries or change job keys.
+/// It is hashed into every job key, so a bump also re-keys every store.
 pub const STORE_FORMAT: u32 = 2;
-
-/// Name of the packed index file at the store root.
-pub const INDEX_FILE: &str = "index.bin";
-
-/// On-disk representation of store entries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EntryFormat {
-    /// Pretty-printed JSON envelope (`.json`) — human-greppable.
-    #[default]
-    Json,
-    /// Compact checksummed binary envelope (`.bin`) — service scale.
-    Binary,
-}
-
-impl EntryFormat {
-    /// File extension of entries in this representation.
-    pub fn ext(self) -> &'static str {
-        match self {
-            EntryFormat::Json => "json",
-            EntryFormat::Binary => "bin",
-        }
-    }
-
-    /// The other representation.
-    pub fn other(self) -> EntryFormat {
-        match self {
-            EntryFormat::Json => EntryFormat::Binary,
-            EntryFormat::Binary => EntryFormat::Json,
-        }
-    }
-
-    /// Parse a user-facing name (`json`, `bin`, `binary`).
-    pub fn parse(s: &str) -> Option<EntryFormat> {
-        match s.to_ascii_lowercase().as_str() {
-            "json" => Some(EntryFormat::Json),
-            "bin" | "binary" => Some(EntryFormat::Binary),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for EntryFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EntryFormat::Json => "json",
-            EntryFormat::Binary => "binary",
-        })
-    }
-}
 
 /// Outcome of a store lookup.
 #[derive(Debug)]
@@ -132,38 +60,24 @@ pub enum StoreLookup {
 /// Size summary of a store, from [`ResultStore::disk_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreDiskStats {
-    /// Entries present (readable or not).
+    /// Entry files present (readable or not).
     pub entries: u64,
-    /// Total bytes across readable entries.
+    /// Total bytes across those entry files.
     pub total_bytes: u64,
     /// Distinct two-hex-char shard directories in use.
     pub shards: u64,
 }
 
-/// Outcome of a [`ResultStore::migrate`] pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MigrateReport {
-    /// Entries rewritten into the target representation (including
-    /// flat-legacy entries moved into their shard directory).
-    pub converted: u64,
-    /// Entries already in the target representation, left in place.
-    pub already: u64,
-    /// Entries that failed validation and were removed.
-    pub dropped: u64,
-}
-
-/// In-memory mirror of the packed index plus its append handle.
-struct IndexHandle {
-    state: IndexState,
-    file: Option<File>,
+/// Whether `key` has the shape [`FarmJob::key`] produces: 32 lowercase
+/// hex chars.
+fn is_key(key: &str) -> bool {
+    key.len() == 32 && key.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
 }
 
 /// Content-addressed store of [`RunReport`]s under a root directory.
 pub struct ResultStore {
     dir: PathBuf,
     io: Arc<dyn FarmIo>,
-    format: EntryFormat,
-    index: Mutex<IndexHandle>,
     /// Per-key write sequence numbers: the temp-file name discriminator
     /// that keeps two same-key writers in one process from colliding
     /// (see [`ResultStore::put`]).
@@ -171,41 +85,22 @@ pub struct ResultStore {
 }
 
 impl ResultStore {
-    /// Open (or create) a store rooted at `dir` on the real filesystem,
-    /// writing JSON entries.
+    /// Open (or create) a store rooted at `dir` on the real filesystem.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, FarmError> {
         Self::open_with(dir, Arc::new(RealIo))
     }
 
     /// Open (or create) a store rooted at `dir`, performing all
-    /// filesystem operations through `io`, writing JSON entries.
+    /// filesystem operations through `io`.
     pub fn open_with(dir: impl AsRef<Path>, io: Arc<dyn FarmIo>) -> Result<Self, FarmError> {
-        Self::open_with_format(dir, io, EntryFormat::Json)
-    }
-
-    /// Open (or create) a store rooted at `dir`, writing entries in
-    /// `format`. Either representation (plus the flat legacy layout) is
-    /// always *read*; `format` only selects what new entries look like.
-    pub fn open_with_format(
-        dir: impl AsRef<Path>,
-        io: Arc<dyn FarmIo>,
-        format: EntryFormat,
-    ) -> Result<Self, FarmError> {
         let dir = dir.as_ref().to_path_buf();
         io.create_dir_all(&dir)
             .map_err(|e| FarmError::io("create store dir", &dir, e))?;
-        let store = ResultStore {
+        Ok(ResultStore {
             dir,
             io,
-            format,
-            index: Mutex::new(IndexHandle {
-                state: IndexState::default(),
-                file: None,
-            }),
             write_seq: Mutex::new(HashMap::new()),
-        };
-        store.load_or_rebuild_index();
-        Ok(store)
+        })
     }
 
     /// Root directory of the store.
@@ -213,109 +108,43 @@ impl ResultStore {
         &self.dir
     }
 
-    /// The representation new entries are written in.
-    pub fn format(&self) -> EntryFormat {
-        self.format
-    }
-
-    /// Path of the packed index file.
-    pub fn index_path(&self) -> PathBuf {
-        self.dir.join(INDEX_FILE)
-    }
-
-    /// Path the entry for `key` is (or would be) written to, in this
-    /// handle's write representation.
-    pub fn path_for(&self, key: &str) -> PathBuf {
-        self.path_in(key, self.format)
-    }
-
-    /// Sharded entry path for `key` in `format`.
-    fn path_in(&self, key: &str, format: EntryFormat) -> PathBuf {
-        let prefix = key.get(0..2).unwrap_or("xx");
-        self.dir
-            .join(prefix)
-            .join(format!("{key}.{}", format.ext()))
-    }
-
-    /// Pre-shard flat legacy path for `key` (always JSON).
-    fn flat_path(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.json"))
-    }
-
-    /// Read-path candidates for `key`, most-preferred first.
-    fn candidates(&self, key: &str) -> [(PathBuf, EntryFormat); 3] {
-        [
-            (self.path_in(key, self.format), self.format),
-            (self.path_in(key, self.format.other()), self.format.other()),
-            (self.flat_path(key), EntryFormat::Json),
-        ]
+    /// Path of the entry for `key`, or `None` when `key` is not a
+    /// content key. The one place a key becomes a path.
+    pub fn path_for(&self, key: &str) -> Option<PathBuf> {
+        is_key(key).then(|| self.dir.join(&key[..2]).join(format!("{key}.bin")))
     }
 
     /// Persist `report` as the result of `job` under `key`.
     ///
-    /// The serialised envelope is parsed back before publication; a
-    /// report that does not survive the round-trip byte-for-byte
-    /// identically (e.g. it contains a non-finite float) is rejected
-    /// here — as [`FarmError::Unstorable`] — rather than poisoning the
-    /// store. Filesystem failures come back as [`FarmError::Io`] with
+    /// The encoded frame is decoded back before publication; a report
+    /// that does not survive the round-trip identically (e.g. it
+    /// contains a non-finite float) is rejected here — as
+    /// [`FarmError::Unstorable`] — rather than poisoning the store. A
+    /// `key` that is not a content key is [`FarmError::BadKey`].
+    /// Filesystem failures come back as [`FarmError::Io`] with
     /// [`FarmError::transient`] distinguishing retryable ones; a failed
     /// write never leaves a partially-published entry because the
     /// temp-file + rename protocol cleans up after itself.
     pub fn put(&self, key: &str, job: &FarmJob, report: &RunReport) -> Result<(), FarmError> {
-        self.put_in(key, job, report, self.format)
-    }
-
-    /// [`ResultStore::put`] with an explicit representation (the
-    /// migration path writes the target format regardless of the
-    /// handle's default).
-    fn put_in(
-        &self,
-        key: &str,
-        job: &FarmJob,
-        report: &RunReport,
-        format: EntryFormat,
-    ) -> Result<(), FarmError> {
+        let bad_key = || FarmError::BadKey {
+            key: key.to_owned(),
+        };
+        let path = self.path_for(key).ok_or_else(bad_key)?;
+        let parent = path.parent().ok_or_else(bad_key)?;
         let unstorable = |reason: String| FarmError::Unstorable {
             key: key.to_owned(),
             reason,
         };
-        let bytes = match format {
-            EntryFormat::Json => {
-                let mut env = Map::new();
-                env.insert("store_format".into(), Value::U64(u64::from(STORE_FORMAT)));
-                env.insert(
-                    "report_format".into(),
-                    Value::U64(u64::from(ptb_core::report::REPORT_FORMAT)),
-                );
-                env.insert("key".into(), Value::Str(key.to_owned()));
-                env.insert("job".into(), job.to_value());
-                env.insert("report".into(), report.to_value());
-                let text = json::to_string_pretty(&Value::Object(env));
-                let reparsed = json::parse(&text).map_err(|e| unstorable(e.to_string()))?;
-                let report_v = reparsed
-                    .get("report")
-                    .ok_or_else(|| unstorable("lost report".into()))?;
-                Self::check_round_trip(report_v, report).map_err(unstorable)?;
-                text.into_bytes()
-            }
-            EntryFormat::Binary => {
-                let job_json = json::to_string(&job.to_value());
-                let report_json = json::to_string(&report.to_value());
-                let buf = binfmt::encode(key, &job_json, &report_json);
-                let env = binfmt::decode(&buf).map_err(&unstorable)?;
-                let report_v =
-                    json::parse(env.report_json).map_err(|e| unstorable(e.to_string()))?;
-                Self::check_round_trip(&report_v, report).map_err(unstorable)?;
-                buf
-            }
-        };
+        let report_v = report.to_value();
+        let job_json = json::to_string(&job.to_value());
+        let bytes = binfmt::encode(key, &job_json, &json::to_string(&report_v));
+        let env = binfmt::decode(&bytes).map_err(&unstorable)?;
+        let reparsed = json::parse(env.report_json).map_err(|e| unstorable(e.to_string()))?;
+        let back = RunReport::from_value(&reparsed).map_err(|e| unstorable(e.to_string()))?;
+        if back.to_value() != report_v {
+            return Err(unstorable("report does not round-trip losslessly".into()));
+        }
 
-        let path = self.path_in(key, format);
-        let Some(parent) = path.parent() else {
-            return Err(FarmError::BadKey {
-                key: key.to_owned(),
-            });
-        };
         self.io
             .create_dir_all(parent)
             .map_err(|e| FarmError::io("create entry dir", parent, e))?;
@@ -343,21 +172,6 @@ impl ResultStore {
         if let Err(e) = self.io.rename(&tmp, &path) {
             self.io.remove_file(&tmp).ok();
             return Err(FarmError::io("publish entry", &path, e));
-        }
-        // Retire stale sibling representations so one key never counts
-        // (or answers) twice.
-        self.io.remove_file(&self.path_in(key, format.other())).ok();
-        self.io.remove_file(&self.flat_path(key)).ok();
-        self.note_put(key, bytes.len() as u64, format == EntryFormat::Binary);
-        Ok(())
-    }
-
-    /// Round-trip check shared by both representations: the reparsed
-    /// report value must deserialise back to an identical report.
-    fn check_round_trip(report_v: &Value, report: &RunReport) -> Result<(), String> {
-        let back = RunReport::from_value(report_v).map_err(|e| e.to_string())?;
-        if back.to_value() != report.to_value() {
-            return Err("report does not round-trip losslessly".into());
         }
         Ok(())
     }
@@ -397,87 +211,73 @@ impl ResultStore {
         Ok(Some((job, report)))
     }
 
-    /// Remove the entry for `key`, if present (all representations).
+    /// Remove the entry for `key`, if present.
     pub fn remove(&self, key: &str) {
-        for (path, _) in self.candidates(key) {
+        if let Some(path) = self.path_for(key) {
             self.io.remove_file(&path).ok();
         }
-        self.note_remove(key);
     }
 
-    /// All keys currently present (including entries that would fail
-    /// validation — use [`ResultStore::verify_entry`] to check them).
-    /// Always a filesystem walk: this is the authoritative listing the
-    /// index itself is rebuilt from.
+    /// All keys currently present, sorted (including entries that would
+    /// fail validation — use [`ResultStore::verify_entry`] to check
+    /// them).
     pub fn keys(&self) -> Result<Vec<String>, FarmError> {
-        let mut keys = BTreeSet::new();
-        for (key, _, _) in self.disk_entries()? {
-            keys.insert(key);
-        }
-        Ok(keys.into_iter().collect())
+        Ok(self.entries()?.into_iter().map(|(key, _)| key).collect())
     }
 
-    /// Walk the store directory: every entry file as
-    /// `(key, path, format)`, shard directories and the flat legacy
-    /// root alike. A key stored in both representations yields two
-    /// tuples.
-    fn disk_entries(&self) -> Result<Vec<(String, PathBuf, EntryFormat)>, FarmError> {
+    /// Walk the shard directories: every `<k₀k₁>/<key>.bin` entry file
+    /// as `(key, path)`, sorted by key. Nothing else is listed.
+    fn entries(&self) -> Result<Vec<(String, PathBuf)>, FarmError> {
         let mut out = Vec::new();
         let names = self
             .io
             .read_dir_names(&self.dir)
             .map_err(|e| FarmError::io("list store", &self.dir, e))?;
-        for name in names {
-            let path = self.dir.join(&name);
-            if path.is_dir() {
-                let entries = self
-                    .io
-                    .read_dir_names(&path)
-                    .map_err(|e| FarmError::io("list shard", &path, e))?;
-                for entry in entries {
-                    if entry.starts_with('.') {
-                        continue;
-                    }
-                    if let Some(key) = entry.strip_suffix(".json") {
-                        out.push((key.to_owned(), path.join(&entry), EntryFormat::Json));
-                    } else if let Some(key) = entry.strip_suffix(".bin") {
-                        out.push((key.to_owned(), path.join(&entry), EntryFormat::Binary));
-                    }
-                }
-            } else if !name.starts_with('.') {
-                // Flat legacy layout: `objects/<key>.json` at the root.
-                // (The packed index `index.bin` is not a `.json` file.)
-                if let Some(key) = name.strip_suffix(".json") {
-                    out.push((key.to_owned(), path, EntryFormat::Json));
+        for shard in names {
+            let shard_dir = self.dir.join(&shard);
+            if shard.len() != 2 || !shard_dir.is_dir() {
+                continue;
+            }
+            let files = self
+                .io
+                .read_dir_names(&shard_dir)
+                .map_err(|e| FarmError::io("list shard", &shard_dir, e))?;
+            for name in files {
+                let Some(key) = name.strip_suffix(".bin") else {
+                    continue;
+                };
+                if is_key(key) && key.starts_with(shard.as_str()) {
+                    out.push((key.to_owned(), shard_dir.join(&name)));
                 }
             }
         }
+        out.sort();
         Ok(out)
     }
 
-    /// Number of entries present (filesystem walk; see
-    /// [`ResultStore::disk_stats`] for the indexed fast path).
+    /// Number of entries present.
     pub fn len(&self) -> usize {
         self.keys().map(|k| k.len()).unwrap_or(0)
     }
 
-    /// Entry count, total bytes, and shard fan-out — answered from the
-    /// packed index (O(1) in entry count after open), not a directory
-    /// walk. The index is maintained by this handle's puts/removes and
-    /// rebuilt on open, so external tampering between opens is not
-    /// reflected until the next open, `verify`, or
-    /// [`ResultStore::rebuild_index`].
+    /// Entry count, total bytes, and shard fan-out, from a walk of the
+    /// shard directories plus one `stat` per entry. Its callers are
+    /// status queries (`farm_ctl status`, `GET /v1/status`), never the
+    /// lookup path.
     pub fn disk_stats(&self) -> Result<StoreDiskStats, FarmError> {
-        let handle = self.index.lock().expect("index lock");
+        let mut stats = StoreDiskStats::default();
         let mut shards = BTreeSet::new();
-        for key in handle.state.live.keys() {
-            shards.insert(key.get(0..2).unwrap_or("xx").to_owned());
+        for (key, path) in self.entries()? {
+            // An entry removed between the walk and the stat is gone.
+            let Ok(size) = self.io.file_size(&path) else {
+                continue;
+            };
+            stats.entries += 1;
+            stats.total_bytes += size;
+            shards.insert(key[..2].to_owned());
         }
-        Ok(StoreDiskStats {
-            entries: handle.state.live.len() as u64,
-            total_bytes: handle.state.total_bytes(),
-            shards: shards.len() as u64,
-        })
+        stats.shards = shards.len() as u64;
+        Ok(stats)
     }
 
     /// True when the store holds no entries.
@@ -500,56 +300,20 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Read and validate the envelope for `key` from whichever
-    /// representation holds it (preferred format, then the other, then
-    /// the flat legacy path). `Ok(None)` when no file exists.
+    /// Read and validate the entry for `key`: frame checks, format
+    /// versions, embedded key. Returns the embedded job and the raw
+    /// report value; `Ok(None)` when no entry exists, including for a
+    /// `key` that is not a content key.
     fn read_validated(&self, key: &str) -> Result<Option<(FarmJob, Value)>, String> {
-        for (path, format) in self.candidates(key) {
-            match format {
-                EntryFormat::Binary => match self.io.read_bytes(&path) {
-                    Ok(bytes) => return Self::validate_binary(&bytes, key).map(Some),
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                    Err(e) => return Err(format!("unreadable: {e}")),
-                },
-                EntryFormat::Json => match self.io.read_to_string(&path) {
-                    Ok(text) => return Self::validate_envelope(&text, key).map(Some),
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                    Err(e) => return Err(format!("unreadable: {e}")),
-                },
-            }
-        }
-        Ok(None)
-    }
-
-    /// Shared JSON envelope checks: parse, format versions, embedded
-    /// key. Returns the embedded job and the raw report value.
-    fn validate_envelope(text: &str, key: &str) -> Result<(FarmJob, Value), String> {
-        let v = json::parse(text).map_err(|e| format!("parse: {e}"))?;
-        let fmt = v.get("store_format").and_then(Value::as_u64);
-        if fmt != Some(u64::from(STORE_FORMAT)) {
-            return Err(format!(
-                "store format {fmt:?} != current {STORE_FORMAT} (stale)"
-            ));
-        }
-        let rfmt = v.get("report_format").and_then(Value::as_u64);
-        if rfmt != Some(u64::from(ptb_core::report::REPORT_FORMAT)) {
-            return Err(format!(
-                "report format {rfmt:?} != current {} (stale)",
-                ptb_core::report::REPORT_FORMAT
-            ));
-        }
-        if v.get("key").and_then(Value::as_str) != Some(key) {
-            return Err("embedded key does not match filename".into());
-        }
-        let job_v = v.get("job").ok_or("missing job")?;
-        let job = FarmJob::from_value(job_v).map_err(|e| format!("job: {e}"))?;
-        let report_v = v.get("report").ok_or("missing report")?.clone();
-        Ok((job, report_v))
-    }
-
-    /// Binary-envelope counterpart of [`ResultStore::validate_envelope`].
-    fn validate_binary(bytes: &[u8], key: &str) -> Result<(FarmJob, Value), String> {
-        let env = binfmt::decode(bytes)?;
+        let Some(path) = self.path_for(key) else {
+            return Ok(None);
+        };
+        let bytes = match self.io.read_bytes(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(format!("unreadable: {e}")),
+        };
+        let env = binfmt::decode(&bytes)?;
         if env.store_format != STORE_FORMAT {
             return Err(format!(
                 "store format {} != current {STORE_FORMAT} (stale)",
@@ -569,158 +333,7 @@ impl ResultStore {
         let job_v = json::parse(env.job_json).map_err(|e| format!("job parse: {e}"))?;
         let job = FarmJob::from_value(&job_v).map_err(|e| format!("job: {e}"))?;
         let report_v = json::parse(env.report_json).map_err(|e| format!("report parse: {e}"))?;
-        Ok((job, report_v))
-    }
-
-    /// Rewrite every entry into `target` representation in place:
-    /// flat-legacy entries move into their shard directory, valid
-    /// entries in the other representation are re-encoded, entries that
-    /// fail validation are dropped, and the packed index is rebuilt at
-    /// the end. Idempotent: a second pass reports everything `already`.
-    pub fn migrate(&self, target: EntryFormat) -> Result<MigrateReport, FarmError> {
-        let mut report = MigrateReport::default();
-        for key in self.keys()? {
-            let target_path = self.path_in(&key, target);
-            match self.read_validated(&key) {
-                Ok(Some((job, report_v))) => {
-                    let run = match RunReport::from_value(&report_v) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            eprintln!("[store] dropping {key}: report: {e}");
-                            self.remove(&key);
-                            report.dropped += 1;
-                            continue;
-                        }
-                    };
-                    if self.io.file_size(&target_path).is_ok() {
-                        // Already in the target representation; retire
-                        // any stale siblings left by interrupted runs.
-                        self.io
-                            .remove_file(&self.path_in(&key, target.other()))
-                            .ok();
-                        self.io.remove_file(&self.flat_path(&key)).ok();
-                        report.already += 1;
-                    } else {
-                        self.put_in(&key, &job, &run, target)?;
-                        report.converted += 1;
-                    }
-                }
-                Ok(None) => {} // raced with a concurrent remove
-                Err(reason) => {
-                    eprintln!("[store] dropping {key}: {reason}");
-                    self.remove(&key);
-                    report.dropped += 1;
-                }
-            }
-        }
-        self.rebuild_index()?;
-        Ok(report)
-    }
-
-    /// Re-derive the packed index from the filesystem and atomically
-    /// replace the in-memory mirror. Run by `verify`/`migrate` and on
-    /// open when the index file is absent or unreadable.
-    pub fn rebuild_index(&self) -> Result<(), FarmError> {
-        let state = self.scan_disk()?;
-        let path = self.index_path();
-        self.io
-            .write(&path, &state.to_bytes())
-            .map_err(|e| FarmError::io("write index", &path, e))?;
-        let file = self.io.open_append(&path).ok();
-        let mut handle = self.index.lock().expect("index lock");
-        handle.state = state;
-        handle.file = file;
-        Ok(())
-    }
-
-    /// Load the index file, falling back to a filesystem rebuild when
-    /// it is absent, unreadable, or from a foreign version. Never fails
-    /// the open: the index is an accelerator, so every error degrades
-    /// to an empty (stale) mirror plus a warning.
-    fn load_or_rebuild_index(&self) {
-        let path = self.index_path();
-        let loaded = match self.io.read_bytes(&path) {
-            Ok(bytes) => IndexState::from_bytes(&bytes),
-            Err(_) => None,
-        };
-        match loaded {
-            Some(state) => {
-                let file = self.io.open_append(&path).ok();
-                let mut handle = self.index.lock().expect("index lock");
-                handle.state = state;
-                handle.file = file;
-            }
-            None => {
-                if let Err(e) = self.rebuild_index() {
-                    eprintln!("warning: cannot rebuild store index: {e}");
-                }
-            }
-        }
-    }
-
-    /// Derive a fresh [`IndexState`] from the entry files on disk. A
-    /// key present in both representations is recorded under the
-    /// handle's preferred one (which is also what the read path would
-    /// answer from).
-    fn scan_disk(&self) -> Result<IndexState, FarmError> {
-        let mut chosen: BTreeMap<String, (PathBuf, EntryFormat)> = BTreeMap::new();
-        for (key, path, format) in self.disk_entries()? {
-            match chosen.entry(key) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert((path, format));
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    if format == self.format {
-                        o.insert((path, format));
-                    }
-                }
-            }
-        }
-        let mut state = IndexState::default();
-        for (key, (path, format)) in chosen {
-            let size = self.io.file_size(&path).unwrap_or(0);
-            state.live.insert(
-                key,
-                IndexEntry {
-                    size,
-                    binary: format == EntryFormat::Binary,
-                },
-            );
-        }
-        Ok(state)
-    }
-
-    /// Record a put in the index mirror and append its record to the
-    /// index file. Best effort: index failures only warn — the entry
-    /// itself is already durably published.
-    fn note_put(&self, key: &str, size: u64, binary: bool) {
-        let mut handle = self.index.lock().expect("index lock");
-        handle
-            .state
-            .live
-            .insert(key.to_owned(), IndexEntry { size, binary });
-        self.append_record(&mut handle, IndexRecord::put(key, size, binary));
-    }
-
-    /// Record a remove in the index mirror and append a tombstone.
-    fn note_remove(&self, key: &str) {
-        let mut handle = self.index.lock().expect("index lock");
-        if handle.state.live.remove(key).is_none() {
-            return; // nothing was indexed; no tombstone needed
-        }
-        self.append_record(&mut handle, IndexRecord::tombstone(key));
-    }
-
-    fn append_record(&self, handle: &mut IndexHandle, record: IndexRecord) {
-        let Some(rec) = record.pack() else {
-            return; // non-hex key (never produced by the farm)
-        };
-        let path = self.index_path();
-        if let Some(file) = handle.file.as_mut() {
-            if let Err(e) = self.io.append_bytes(file, &rec, &path) {
-                eprintln!("warning: index append failed: {e}");
-            }
-        }
+        Ok(Some((job, report_v)))
     }
 }
 
@@ -748,19 +361,15 @@ mod tests {
         dir
     }
 
-    fn open_fmt(dir: &Path, format: EntryFormat) -> ResultStore {
-        ResultStore::open_with_format(dir, Arc::new(RealIo), format).expect("open store")
-    }
-
     #[test]
     fn binary_entries_round_trip_and_verify() {
         let dir = store_dir("binfmt");
-        let store = open_fmt(&dir, EntryFormat::Binary);
+        let store = ResultStore::open(&dir).expect("open store");
         let job = tiny_job();
         let key = job.key();
         let report = job.simulate();
         store.put(&key, &job, &report).expect("put");
-        assert!(store.path_for(&key).extension().unwrap() == "bin");
+        assert!(store.path_for(&key).expect("content key").exists());
         match store.get(&key, &job) {
             StoreLookup::Hit(back) => assert_eq!(back.to_value(), report.to_value()),
             other => panic!("expected hit, got {other:?}"),
@@ -773,89 +382,96 @@ mod tests {
     }
 
     #[test]
-    fn either_handle_reads_either_representation() {
-        let dir = store_dir("xfmt");
-        let job = tiny_job();
-        let key = job.key();
-        let report = job.simulate();
-        open_fmt(&dir, EntryFormat::Json)
-            .put(&key, &job, &report)
-            .expect("json put");
-        // A binary-writing handle still answers from the JSON entry.
-        let bin_handle = open_fmt(&dir, EntryFormat::Binary);
-        assert!(matches!(bin_handle.get(&key, &job), StoreLookup::Hit(_)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn flat_legacy_entries_are_read_and_migrated() {
-        let dir = store_dir("flat");
-        let job = tiny_job();
-        let key = job.key();
-        let report = job.simulate();
-        // Write sharded, then demote the entry to the flat legacy
-        // layout by hand.
-        let store = open_fmt(&dir, EntryFormat::Json);
-        store.put(&key, &job, &report).expect("put");
-        let sharded = store.path_for(&key);
-        let flat = dir.join(format!("{key}.json"));
-        std::fs::rename(&sharded, &flat).expect("demote to flat");
-        assert!(matches!(store.get(&key, &job), StoreLookup::Hit(_)));
-        assert_eq!(store.keys().expect("keys"), vec![key.clone()]);
-
-        let m = store.migrate(EntryFormat::Binary).expect("migrate");
-        assert_eq!((m.converted, m.already, m.dropped), (1, 0, 0));
-        assert!(!flat.exists(), "flat file retired");
-        assert!(dir.join(&key[..2]).join(format!("{key}.bin")).exists());
-        assert!(matches!(store.get(&key, &job), StoreLookup::Hit(_)));
-
-        // Second pass is a no-op.
-        let m = store.migrate(EntryFormat::Binary).expect("migrate");
-        assert_eq!((m.converted, m.already, m.dropped), (0, 1, 0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn disk_stats_come_from_the_index_and_survive_reopen() {
+    fn disk_stats_walk_the_shards_and_survive_reopen() {
         let dir = store_dir("stats");
-        let job = tiny_job();
-        let key = job.key();
-        let report = job.simulate();
-        let store = open_fmt(&dir, EntryFormat::Binary);
-        store.put(&key, &job, &report).expect("put");
-        let stats = store.disk_stats().expect("stats");
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.shards, 1);
-        let size = std::fs::metadata(store.path_for(&key)).unwrap().len();
-        assert_eq!(stats.total_bytes, size);
+        let store = ResultStore::open(&dir).expect("open store");
+        let report = tiny_job().simulate();
+        // One report under several keys: `max_cycles` is hashed.
+        let jobs: Vec<FarmJob> = (0..4)
+            .map(|i| {
+                let mut job = tiny_job();
+                job.config.max_cycles += i;
+                job
+            })
+            .collect();
+        for job in &jobs[..3] {
+            store.put(&job.key(), job, &report).expect("put");
+        }
+        let bytes: u64 = jobs[..3]
+            .iter()
+            .map(|j| {
+                std::fs::metadata(store.path_for(&j.key()).unwrap())
+                    .unwrap()
+                    .len()
+            })
+            .sum();
+        let shards: BTreeSet<String> = jobs[..3].iter().map(|j| j.key()[..2].into()).collect();
+        let want = StoreDiskStats {
+            entries: 3,
+            total_bytes: bytes,
+            shards: shards.len() as u64,
+        };
+        assert_eq!(store.disk_stats().expect("stats"), want);
 
-        // A fresh handle loads the same numbers from the index file
-        // without walking the shard directories.
-        let reopened = open_fmt(&dir, EntryFormat::Binary);
-        assert_eq!(reopened.disk_stats().expect("stats"), stats);
+        // Leftovers of older layouts and of a torn write: none of them is
+        // counted, listed or read. The JSON files hold garbage, so a
+        // read would turn the lookups below into `Corrupt`.
+        let (kept, absent) = (jobs[0].key(), jobs[3].key());
+        std::fs::write(dir.join("index.bin"), b"PTBI stale index").unwrap();
+        std::fs::write(dir.join(format!("{absent}.json")), b"{garbage").unwrap();
+        for key in [&kept, &absent] {
+            let shard = dir.join(&key[..2]);
+            std::fs::create_dir_all(&shard).unwrap();
+            std::fs::write(shard.join(format!("{key}.json")), b"{garbage").unwrap();
+            std::fs::write(shard.join(format!(".{key}.1.1.tmp")), b"torn").unwrap();
+        }
+        let reopened = ResultStore::open(&dir).expect("reopen");
+        assert_eq!(reopened.disk_stats().expect("stats"), want);
+        assert_eq!(reopened.len(), 3);
+        assert!(matches!(reopened.get(&kept, &jobs[0]), StoreLookup::Hit(_)));
+        assert!(matches!(reopened.get(&absent, &jobs[3]), StoreLookup::Miss));
 
-        // Remove → tombstone → zeroed stats.
-        store.remove(&key);
-        let stats = store.disk_stats().expect("stats");
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.total_bytes, 0);
+        let kept_bytes = std::fs::metadata(store.path_for(&kept).unwrap())
+            .unwrap()
+            .len();
+        store.remove(&kept);
+        let stats = reopened.disk_stats().expect("stats");
+        assert_eq!(stats.entries, 2);
+        assert_eq!(stats.total_bytes, bytes - kept_bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A key that is not a content key names no file: nothing outside
+    /// the shard directories is read, written or removed through it.
     #[test]
-    fn index_is_rebuilt_when_missing_or_garbage() {
-        let dir = store_dir("rebuild");
+    fn non_content_keys_never_reach_the_filesystem() {
+        let root = store_dir("badkey");
+        let dir = root.join("farm").join("objects");
+        let store = ResultStore::open(&dir).expect("open store");
         let job = tiny_job();
-        let key = job.key();
         let report = job.simulate();
-        open_fmt(&dir, EntryFormat::Json)
-            .put(&key, &job, &report)
-            .expect("put");
-        std::fs::write(dir.join(INDEX_FILE), b"definitely not an index").unwrap();
-        let store = open_fmt(&dir, EntryFormat::Json);
-        let stats = store.disk_stats().expect("stats");
-        assert_eq!(stats.entries, 1, "rebuilt from the filesystem");
-        std::fs::remove_dir_all(&dir).ok();
+        let outside = root.join("outside.bin");
+        std::fs::write(&outside, b"not for the store").unwrap();
+        for key in [
+            "../../outside",
+            "../outside",
+            "",
+            "xx",
+            &job.key().to_uppercase(),
+        ] {
+            assert!(store.path_for(key).is_none(), "{key:?}");
+            assert!(matches!(store.get(key, &job), StoreLookup::Miss), "{key:?}");
+            assert!(matches!(store.read_entry(key), Ok(None)), "{key:?}");
+            assert!(store.verify_entry(key).is_err(), "{key:?}");
+            assert!(matches!(
+                store.put(key, &job, &report),
+                Err(FarmError::BadKey { .. })
+            ));
+            store.remove(key);
+        }
+        assert!(outside.exists(), "remove stayed inside the store");
+        assert!(store.is_empty(), "put wrote nothing");
+        std::fs::remove_dir_all(&root).ok();
     }
 
     /// Regression: two threads writing the same key simultaneously used
@@ -867,7 +483,7 @@ mod tests {
     #[test]
     fn simultaneous_same_key_writers_do_not_collide() {
         let dir = store_dir("tmprace");
-        let store = open_fmt(&dir, EntryFormat::Json);
+        let store = ResultStore::open(&dir).expect("open store");
         let job = tiny_job();
         let key = job.key();
         let report = job.simulate();

@@ -116,10 +116,6 @@ fn status(state: &Arc<ServeState>) -> Response {
     obj.insert("entries".into(), Value::U64(disk.entries));
     obj.insert("total_bytes".into(), Value::U64(disk.total_bytes));
     obj.insert("shards".into(), Value::U64(disk.shards));
-    obj.insert(
-        "store_format".into(),
-        Value::Str(state.farm().store().format().to_string()),
-    );
     obj.insert("queue_depth".into(), Value::U64(state.queue_depth() as u64));
     let mut jobs = Map::new();
     jobs.insert("queued".into(), Value::U64(queued));

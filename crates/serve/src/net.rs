@@ -16,14 +16,13 @@
 //!   out on a raw socket, then the connection closes — the server sees
 //!   a torn POST, the client an error).
 //!
-//! Every decision is derived from FNV-1a(seed, op-tag) mixed with a
-//! per-tag ordinal through SplitMix64 — the same construction as
-//! `ptb_farm::io::ChaosIo` — so a failing fleet run replays exactly
-//! from its seed, independent of thread scheduling on either side.
+//! Every decision is a draw of [`SiteRolls`] — the roll behind
+//! `ptb_farm::io::ChaosIo` — at the site (op tag, fault class), so a
+//! failing fleet run replays exactly from its seed, independent of
+//! thread scheduling on either side.
 
 use crate::http::http_call;
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use ptb_farm::hash::{fnv1a64, splitmix64, SiteRolls};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,7 +111,7 @@ pub struct NetChaosStats {
 /// workers.
 pub struct ChaosNet {
     cfg: NetChaosConfig,
-    ordinals: Mutex<HashMap<u64, u64>>,
+    rolls: SiteRolls,
     stats: NetChaosStats,
 }
 
@@ -121,7 +120,7 @@ impl ChaosNet {
     pub fn new(cfg: NetChaosConfig) -> ChaosNet {
         ChaosNet {
             cfg,
-            ordinals: Mutex::new(HashMap::new()),
+            rolls: SiteRolls::new(cfg.seed),
             stats: NetChaosStats::default(),
         }
     }
@@ -157,22 +156,9 @@ impl ChaosNet {
         ]
     }
 
-    /// Uniform chance in `[0, 1)` for the next `(tag, fault)` decision:
-    /// SplitMix64 over seed ⊕ FNV-1a(tag) ⊕ FNV-1a(fault) ⊕ ordinal.
+    /// Uniform chance in `[0, 1)` for the next `(tag, fault)` decision.
     fn roll(&self, tag: &str, fault: &str) -> f64 {
-        let tag_hash = fnv1a(tag.as_bytes()) ^ fnv1a(fault.as_bytes());
-        let ordinal = {
-            let mut ords = self.ordinals.lock();
-            let n = ords.entry(tag_hash).or_insert(0);
-            *n += 1;
-            *n
-        };
-        let mixed = splitmix64(
-            self.cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                ^ tag_hash
-                ^ ordinal.wrapping_mul(0xbf58_476d_1ce4_e5b9),
-        );
-        (mixed >> 11) as f64 / (1u64 << 53) as f64
+        self.rolls.roll(tag.as_bytes(), fault.as_bytes())
     }
 
     /// The endpoint class a path belongs to, used as the op tag so
@@ -232,7 +218,7 @@ impl Transport for ChaosNet {
         if self.roll(tag, "latency") < self.cfg.latency {
             self.stats.delayed.fetch_add(1, Ordering::Relaxed);
             // Bounded, seed-determined pause (1–64 ms).
-            let ms = 1 + (splitmix64(self.cfg.seed ^ fnv1a(tag.as_bytes())) % 64);
+            let ms = 1 + (splitmix64(self.cfg.seed ^ fnv1a64(tag.as_bytes())) % 64);
             std::thread::sleep(Duration::from_millis(ms));
         }
         if self.roll(tag, "drop") < self.cfg.drop {
@@ -267,22 +253,6 @@ impl Transport for ChaosNet {
         }
         Ok((status, payload))
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! integrity handling of corrupt or stale store entries.
 
 use ptb_core::{MechanismKind, SimConfig};
-use ptb_farm::{Farm, FarmJob};
+use ptb_farm::hash::fnv1a64;
+use ptb_farm::{Farm, FarmJob, StoreLookup};
 use ptb_workloads::{Benchmark, Scale};
 use serde::{json, Serialize};
 use std::path::PathBuf;
@@ -147,9 +148,9 @@ fn corrupt_and_stale_entries_are_dropped_and_rerun() {
     let farm = Farm::open(&dir).expect("open");
     let first = farm.run_batch(std::slice::from_ref(&j), 1);
     let key = j.key();
-    let path = farm.store().path_for(&key);
+    let path = farm.store().path_for(&key).expect("content key");
 
-    // Truncated/garbage JSON → dropped, re-simulated, re-stored.
+    // Garbage bytes → dropped, re-simulated, re-stored.
     std::fs::write(&path, b"{\"store_format\":1,\"key").unwrap();
     let again = farm.run_batch(std::slice::from_ref(&j), 1);
     let s = farm.stats();
@@ -160,11 +161,20 @@ fn corrupt_and_stale_entries_are_dropped_and_rerun() {
         json::to_string(&again[0].to_value())
     );
 
-    // Stale format version → same treatment.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let current = format!("\"store_format\": {}", ptb_farm::STORE_FORMAT);
-    assert!(text.contains(&current), "envelope carries current format");
-    std::fs::write(&path, text.replacen(&current, "\"store_format\": 0", 1)).unwrap();
+    // Stale format version → same treatment. The frame is resealed, so
+    // the version check rejects it, not the checksum.
+    let mut frame = std::fs::read(&path).unwrap();
+    let current = ptb_farm::STORE_FORMAT.to_le_bytes();
+    assert_eq!(frame[8..12], current, "frame carries current format");
+    frame[8..12].copy_from_slice(&0u32.to_le_bytes());
+    let body = frame.len() - 8;
+    let sum = fnv1a64(&frame[..body]);
+    frame[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, frame).unwrap();
+    match farm.store().get(&key, &j) {
+        StoreLookup::Corrupt(reason) => assert!(reason.contains("stale"), "{reason}"),
+        other => panic!("expected a stale entry, got {other:?}"),
+    }
     farm.run_batch(std::slice::from_ref(&j), 1);
     let s = farm.stats();
     assert_eq!(s.corrupt, 2, "stale format detected");
@@ -190,8 +200,8 @@ fn verify_scans_and_drops_bad_entries() {
 
     // Swap one entry's bytes for the other's: its embedded key no
     // longer hashes to the filename, which verify must catch.
-    let a = farm.store().path_for(&jobs[0].key());
-    let b = farm.store().path_for(&jobs[1].key());
+    let a = farm.store().path_for(&jobs[0].key()).expect("content key");
+    let b = farm.store().path_for(&jobs[1].key()).expect("content key");
     std::fs::copy(&b, &a).unwrap();
     let (ok, dropped) = farm.verify().expect("verify");
     assert_eq!((ok, dropped), (1, 1), "transplanted entry dropped");

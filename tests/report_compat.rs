@@ -7,7 +7,7 @@
 use ptb_core::budget::BudgetSpec;
 use ptb_core::report::CoreReport;
 use ptb_core::{MechanismKind, RunReport, SimConfig};
-use ptb_farm::{Farm, FarmJob};
+use ptb_farm::{binfmt, Farm, FarmJob};
 use ptb_power::PowerParams;
 use ptb_uarch::CoreConfig;
 use ptb_workloads::{Benchmark, Scale};
@@ -117,11 +117,19 @@ fn store_round_trip_preserves_reports_and_tolerates_unknown_envelope_fields() {
     let report = sample_report(true);
     farm.store().put(&key, &job, &report).expect("store");
 
-    // Inject an unknown envelope field, as a future writer might.
-    let path = farm.store().path_for(&key);
-    let mut env = as_object(json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap());
-    env.insert("written_by".into(), Value::Str("ptb-farm vNext".into()));
-    std::fs::write(&path, json::to_string(&Value::Object(env))).unwrap();
+    // Inject an unknown field into the stored job, as a future writer
+    // might, and reseal the frame.
+    let path = farm.store().path_for(&key).expect("content key");
+    let bytes = std::fs::read(&path).unwrap();
+    let env = binfmt::decode(&bytes).expect("stored frame decodes");
+    let mut job_v = as_object(json::parse(env.job_json).unwrap());
+    job_v.insert("written_by".into(), Value::Str("ptb-farm vNext".into()));
+    let frame = binfmt::encode(
+        &key,
+        &json::to_string(&Value::Object(job_v)),
+        env.report_json,
+    );
+    std::fs::write(&path, frame).unwrap();
 
     match farm.store().get(&key, &job) {
         ptb_farm::StoreLookup::Hit(back) => {

@@ -4,7 +4,7 @@
 //! store underneath is fault-injected.
 
 use ptb_core::{MechanismKind, SimConfig};
-use ptb_farm::{ChaosConfig, ChaosIo, EntryFormat, Farm, FarmJob};
+use ptb_farm::{binfmt, ChaosConfig, ChaosIo, Farm, FarmJob};
 use ptb_serve::{http_call, ServeConfig, ServerConfig};
 use ptb_workloads::{Benchmark, Scale};
 use serde::{json, Map, Serialize, Value};
@@ -172,14 +172,7 @@ fn fresh_server_serves_cold_store_and_shorthand_jobs() {
         farm.run_batch(std::slice::from_ref(&seeded), 1);
     }
     // A brand-new server over the same store answers from disk.
-    let farm = Arc::new(
-        Farm::open_with_io_format(
-            dir.join("farm"),
-            Arc::new(ptb_farm::RealIo),
-            EntryFormat::Binary,
-        )
-        .expect("reopen farm"),
-    );
+    let farm = Arc::new(Farm::open(dir.join("farm")).expect("reopen farm"));
     let handle = ptb_serve::start(
         farm,
         "127.0.0.1:0",
@@ -257,14 +250,68 @@ fn protocol_errors_are_json_and_never_kill_the_server() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A URL key is not a path: `../` keys must not reach files beside or
+/// above the store. Every ancestor level of the farm dir holds a
+/// well-formed entry for the key that would resolve to it, in both the
+/// frame and the older JSON envelope, so a server that joined the key
+/// into a path would answer 200 (or 503) instead of 404.
+#[test]
+fn traversal_keys_cannot_reach_files_outside_the_store() {
+    let dir = serve_dir("traversal");
+    let farm_dir = dir.join("a/b/c/d/e/f/farm");
+    let farm = Arc::new(Farm::open(&farm_dir).expect("open farm"));
+    let seeded = job(Benchmark::Fft, MechanismKind::None, 2);
+    let (job_json, report_json) = (
+        json::to_string(&seeded.to_value()),
+        json::to_string(&seeded.simulate().to_value()),
+    );
+    let keys: Vec<String> = (1..=6)
+        .map(|n| format!("{}outside", "../".repeat(n)))
+        .collect();
+    // Level k above the farm dir holds the entry for the k-level key;
+    // the farm dir itself holds the 1-level one, where a flat
+    // `objects/<key>.json` lookup would land.
+    let mut level = farm_dir.clone();
+    for key in std::iter::once(&keys[0]).chain(&keys) {
+        let envelope = format!(
+            r#"{{"store_format":{},"report_format":{},"key":{},"job":{job_json},"report":{report_json}}}"#,
+            ptb_farm::STORE_FORMAT,
+            ptb_core::report::REPORT_FORMAT,
+            json::to_string(&Value::Str(key.clone())),
+        );
+        std::fs::write(level.join("outside.json"), envelope).unwrap();
+        std::fs::write(
+            level.join("outside.bin"),
+            binfmt::encode(key, &job_json, &report_json),
+        )
+        .unwrap();
+        level.pop();
+    }
+    let handle = ptb_serve::start(
+        farm,
+        "127.0.0.1:0",
+        ServeConfig::default(),
+        ServerConfig::default(),
+    )
+    .expect("start server");
+    let addr = handle.addr();
+    for key in &keys {
+        for endpoint in ["reports", "jobs"] {
+            let path = format!("/v1/{endpoint}/{key}");
+            let (status, body) = http_call(addr, "GET", &path, None).expect("round-trip");
+            assert_eq!(status, 404, "GET {path}: {body}");
+        }
+    }
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn chaos_faulted_store_degrades_gracefully_and_server_stays_up() {
     let dir = serve_dir("chaos");
     // Heavy fault injection on every store/journal operation.
     let io = Arc::new(ChaosIo::new(ChaosConfig::uniform(7, 0.9)));
-    let farm = Arc::new(
-        Farm::open_with_io_format(dir.join("farm"), io, EntryFormat::Binary).expect("open farm"),
-    );
+    let farm = Arc::new(Farm::open_with_io(dir.join("farm"), io).expect("open farm"));
     let handle = ptb_serve::start(
         farm.clone(),
         "127.0.0.1:0",
