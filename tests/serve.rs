@@ -369,3 +369,70 @@ fn chaos_faulted_store_degrades_gracefully_and_server_stays_up() {
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `ptb_serve` as a child process, killed on drop. A stack overflow
+/// aborts the whole process, so a crash test cannot share the test
+/// binary with the server it crashes.
+struct ServeChild {
+    child: std::process::Child,
+    addr: SocketAddr,
+    _stdout: std::io::BufReader<std::process::ChildStdout>,
+}
+
+impl ServeChild {
+    fn spawn(farm_dir: &std::path::Path) -> Self {
+        use std::io::BufRead;
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_ptb_serve"))
+            .arg("--addr")
+            .arg("127.0.0.1:0")
+            .arg("--farm-dir")
+            .arg(farm_dir)
+            .env_remove("PTB_CHAOS")
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn ptb_serve");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("read listening line");
+        let addr = line
+            .trim()
+            .rsplit("http://")
+            .next()
+            .and_then(|a| a.parse().ok())
+            .unwrap_or_else(|| panic!("no address in {line:?}"));
+        ServeChild {
+            child,
+            addr,
+            _stdout: stdout,
+        }
+    }
+}
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        self.child.kill().ok();
+        self.child.wait().ok();
+    }
+}
+
+/// One 100 KB body of nested `[` used to overflow an HTTP worker's
+/// stack and abort the server. Every route that parses JSON must answer
+/// 400 instead, and the server must stay up.
+#[test]
+fn deeply_nested_json_is_a_400_not_a_crash() {
+    let dir = serve_dir("nesting");
+    let server = ServeChild::spawn(&dir.join("farm"));
+    let body = "[".repeat(100_000);
+    for path in ["/v1/batches", "/v1/work/claim"] {
+        let (status, resp) = http_call(server.addr, "POST", path, Some(&body))
+            .unwrap_or_else(|e| panic!("POST {path}: server gone ({e})"));
+        assert_eq!(status, 400, "POST {path}: {resp}");
+        let v = json::parse(&resp).expect("errors are JSON");
+        assert!(!str_field(&v, "error").is_empty(), "{resp}");
+    }
+    let (status, _) = get_json(server.addr, "/healthz");
+    assert_eq!(status, 200, "server still healthy after the deep bodies");
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
