@@ -25,9 +25,11 @@ fn bench_mesh(c: &mut Criterion) {
                         i,
                     );
                 }
+                let mut arrived = Vec::new();
                 for _ in 0..128 {
                     mesh.advance();
-                    black_box(mesh.take_arrivals());
+                    mesh.take_arrivals(&mut arrived);
+                    black_box(arrived.drain(..).count());
                 }
             },
             BatchSize::SmallInput,
@@ -165,9 +167,11 @@ fn bench_memory_system(c: &mut Criterion) {
                         });
                         id += 1;
                     }
+                    let mut done = Vec::new();
                     for _ in 0..20 {
                         ms.tick();
-                        black_box(ms.drain_responses());
+                        ms.drain_responses(&mut done);
+                        black_box(done.drain(..).count());
                     }
                 }
             },

@@ -19,6 +19,11 @@
 //! Local enforcement reuses the 2-level machinery ([`LocalSaver`]) against
 //! the *effective* budget; the relaxed variant (§IV.C) multiplies the
 //! trigger threshold by `1 + relax`, trading accuracy for energy.
+//!
+//! The balancer runs every cycle, so its working vectors (effective
+//! budgets, a cluster's offers and deficits) are fields, and a landed
+//! flight is kept with its grant and pledge vectors for the next launch.
+//! A warm cycle allocates nothing.
 
 use crate::budget::BudgetSpec;
 use crate::config::{PtbConfig, PtbPolicy};
@@ -27,7 +32,7 @@ use crate::mechanisms::{ChipObs, CoreAction, LocalSaver, Mechanism};
 use ptb_isa::CtxState;
 use std::collections::VecDeque;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Flight {
     arrives_at: u64,
     /// The balancer cluster this flight belongs to (core index range).
@@ -50,6 +55,16 @@ pub struct PtbMechanism {
     clusters: Vec<(usize, usize)>,
     savers: Vec<LocalSaver>,
     in_flight: VecDeque<Flight>,
+    /// Landed flights, recycled with their vectors by the next launch.
+    spare_flights: Vec<Flight>,
+    /// Clusters whose flight landed this cycle.
+    landed: Vec<(usize, usize)>,
+    /// Effective budget per core this cycle.
+    effective: Vec<f64>,
+    /// Offers (quantised spare tokens) of the cluster being balanced.
+    spare: Vec<f64>,
+    /// Deficits of the cluster being balanced.
+    deficit: Vec<f64>,
     /// Outstanding pledged tokens per core.
     pledged: Vec<f64>,
     /// Grants currently in force (the last flight that landed; held until
@@ -88,6 +103,11 @@ impl PtbMechanism {
             cfg,
             savers: (0..n).map(LocalSaver::two_level_percycle).collect(),
             in_flight: VecDeque::new(),
+            spare_flights: Vec::new(),
+            landed: Vec::new(),
+            effective: Vec::with_capacity(n),
+            spare: Vec::with_capacity(cluster),
+            deficit: Vec::with_capacity(cluster),
             pledged: vec![0.0; n],
             arrived: vec![0.0; n],
             last_land: vec![0; n.div_ceil(cluster)],
@@ -142,25 +162,26 @@ impl Mechanism for PtbMechanism {
         //    grants in force for that flight's cluster. If a cluster's
         //    balancing has gone quiet for a full round-trip, its held
         //    grants expire.
-        let mut landed_clusters: Vec<(usize, usize)> = Vec::new();
+        self.landed.clear();
         while let Some(f) = self.in_flight.front() {
             if f.arrives_at > obs.cycle {
                 break;
             }
             let f = self.in_flight.pop_front().expect("peeked");
-            if !landed_clusters.contains(&f.members) {
+            if !self.landed.contains(&f.members) {
                 self.arrived[f.members.0..f.members.1]
                     .iter_mut()
                     .for_each(|g| *g = 0.0);
-                landed_clusters.push(f.members);
+                self.landed.push(f.members);
             }
             for i in f.members.0..f.members.1 {
                 self.arrived[i] += f.grants[i - f.members.0];
                 self.pledged[i] -= f.pledges[i - f.members.0];
             }
+            self.spare_flights.push(f);
         }
-        for (ci, &(lo, hi)) in self.clusters.clone().iter().enumerate() {
-            if landed_clusters.contains(&(lo, hi)) {
+        for (ci, &(lo, hi)) in self.clusters.iter().enumerate() {
+            if self.landed.contains(&(lo, hi)) {
                 self.last_land[ci] = obs.cycle;
             } else if obs.cycle.saturating_sub(self.last_land[ci]) > self.latency {
                 self.arrived[lo..hi].iter_mut().for_each(|g| *g = 0.0);
@@ -169,9 +190,9 @@ impl Mechanism for PtbMechanism {
         // 2. Effective budget per core this cycle (uncore-aware split +
         //    balancing adjustments).
         let local = core_local_budget(budget, self.uncore.update(obs.uncore_tokens));
-        let effective: Vec<f64> = (0..n)
-            .map(|i| (local + self.arrived[i] - self.pledged[i]).max(0.0))
-            .collect();
+        self.effective.clear();
+        self.effective
+            .extend((0..n).map(|i| (local + self.arrived[i] - self.pledged[i]).max(0.0)));
         let chip_over = obs.chip_tokens > budget.global;
         self.active = chip_over;
         // 3. Each (replicated) balancer collects offers and deficits from
@@ -181,27 +202,33 @@ impl Mechanism for PtbMechanism {
             let cap = local; // wire-code ceiling: 2^bits − 1 quanta
             let policy = self.resolve_policy(obs);
             self.last_policy = policy;
-            for &(lo, hi) in self.clusters.clone().iter() {
+            for &(lo, hi) in &self.clusters {
                 let m = hi - lo;
-                let mut spare = vec![0.0; m];
-                let mut deficit = vec![0.0; m];
+                let (spare, deficit) = (&mut self.spare, &mut self.deficit);
+                spare.clear();
+                spare.resize(m, 0.0);
+                deficit.clear();
+                deficit.resize(m, 0.0);
                 let mut pool = 0.0;
                 for i in lo..hi {
                     let used = obs.cores[i].tokens;
-                    if used < effective[i] {
+                    let effective = self.effective[i];
+                    if used < effective {
                         // Quantise down to the wire code.
-                        let sp =
-                            (((effective[i] - used) / quantum).floor() * quantum).clamp(0.0, cap);
+                        let sp = (((effective - used) / quantum).floor() * quantum).clamp(0.0, cap);
                         spare[i - lo] = sp;
                         pool += sp;
                     } else {
-                        deficit[i - lo] = used - effective[i];
+                        deficit[i - lo] = used - effective;
                     }
                 }
                 if pool <= 0.0 || deficit.iter().all(|&d| d <= 0.0) {
                     continue;
                 }
-                let mut grants = vec![0.0; m];
+                let mut flight = self.spare_flights.pop().unwrap_or_default();
+                let grants = &mut flight.grants;
+                grants.clear();
+                grants.resize(m, 0.0);
                 match policy {
                     PtbPolicy::ToOne => {
                         // All tokens to the neediest core in the cluster.
@@ -215,7 +242,7 @@ impl Mechanism for PtbMechanism {
                     PtbPolicy::ToAll | PtbPolicy::Dynamic => {
                         let recipients = deficit.iter().filter(|&&d| d > 0.0).count() as f64;
                         let share = pool / recipients;
-                        for (g, &d) in grants.iter_mut().zip(&deficit) {
+                        for (g, &d) in grants.iter_mut().zip(deficit.iter()) {
                             if d > 0.0 {
                                 *g = share.min(cap);
                             }
@@ -227,25 +254,23 @@ impl Mechanism for PtbMechanism {
                 // Givers pledge exactly what will be granted (pro-rata), so
                 // budget mass is conserved in flight.
                 let scale = if pool > 0.0 { granted / pool } else { 0.0 };
-                let pledges: Vec<f64> = spare.iter().map(|s| s * scale).collect();
+                flight.pledges.clear();
+                flight.pledges.extend(spare.iter().map(|s| s * scale));
                 for i in lo..hi {
-                    self.pledged[i] += pledges[i - lo];
+                    self.pledged[i] += flight.pledges[i - lo];
                 }
-                self.in_flight.push_back(Flight {
-                    arrives_at: obs.cycle + self.latency,
-                    members: (lo, hi),
-                    grants,
-                    pledges,
-                });
+                flight.arrives_at = obs.cycle + self.latency;
+                flight.members = (lo, hi);
+                self.in_flight.push_back(flight);
             }
         }
         // 4. Local enforcement against the effective budgets.
-        for i in 0..n {
-            let trigger_budget = effective[i] * (1.0 + self.relax);
+        for (i, action) in actions.iter_mut().enumerate().take(n) {
+            let trigger_budget = self.effective[i] * (1.0 + self.relax);
             let (mode, throttle) =
                 self.savers[i].step(obs.cores[i].tokens, trigger_budget, chip_over);
-            actions[i].mode = mode;
-            actions[i].throttle = throttle;
+            action.mode = mode;
+            action.throttle = throttle;
         }
     }
 

@@ -8,11 +8,11 @@ use crate::mechanisms::{self, ChipObs, CoreAction, CoreObs, Mechanism};
 use crate::report::{CoreReport, RunReport};
 use crate::trace::PowerTrace;
 use ptb_isa::{Addr, CoreId, CtxState, InstStream, StreamEnv};
-use ptb_mem::{AccessKind, MemReq, MemorySystem};
+use ptb_mem::{AccessKind, MemReq, MemResp, MemorySystem};
 use ptb_obs::{MemPulse, NullObserver, Phase, RunEnd, RunMeta, SimObserver, SpinKind, ThrottleObs};
 use ptb_power::{
-    core_cycle_tokens, uncore_cycle_tokens, ChipEnergy, CoreActivity, DvfsMode, PowerSample,
-    ThermalModel, UncoreActivity,
+    core_cycle_tokens, uncore_cycle_tokens, ChipEnergy, CoreActivity, DvfsMode, ThermalModel,
+    UncoreActivity,
 };
 use ptb_sync::SyncFabric;
 use ptb_uarch::{Core, CoreMemKind, CoreMemReq, RmwExec};
@@ -222,6 +222,8 @@ impl Simulation {
         // deque keeps the drain O(1) per request instead of Vec::remove(0)
         // shifting the whole queue.
         let mut retry: Vec<VecDeque<CoreMemReq>> = vec![VecDeque::new(); n];
+        // Per-cycle buffers, reused so that a warm cycle does not allocate.
+        let mut resp_buf: Vec<MemResp> = Vec::new();
         let mut mem_buf: Vec<CoreMemReq> = Vec::new();
         let mut rmw_buf: Vec<RmwExec> = Vec::new();
         let mut tokens = vec![0.0f64; n];
@@ -270,7 +272,8 @@ impl Simulation {
                 phase_t = phase_mark(obs, Phase::Noc, phase_t);
             }
             mem.advance_events();
-            for resp in mem.drain_responses() {
+            mem.drain_responses(&mut resp_buf);
+            for resp in resp_buf.drain(..) {
                 cores[resp.core.index()].mem_response(resp.id);
             }
             if profile {
@@ -343,7 +346,8 @@ impl Simulation {
             // 4. Power sample for this cycle. Observer-hook delivery
             //    (pulse assembly, `on_cycle` fan-out) is timed separately
             //    into Phase::Observer so it never pollutes the
-            //    PowerSample bucket.
+            //    PowerSample bucket. The chip total is the per-core sum
+            //    in core order plus uncore, as `ChipEnergy::add` folds it.
             let mut obs_ns: u64 = 0;
             let mem_act = mem.take_activity();
             if O::ENABLED {
@@ -375,11 +379,7 @@ impl Simulation {
                     mem_accesses: mem_act.mem_accesses,
                 },
             ) + mechanism.overhead_tokens(&budget);
-            let sample = PowerSample {
-                per_core: tokens.clone(),
-                uncore,
-            };
-            let chip = sample.chip();
+            let chip = energy.add(&tokens, uncore);
             if O::ENABLED {
                 let t0 = if profile { Some(Instant::now()) } else { None };
                 obs.on_cycle(cycle, &tokens, uncore, chip);
@@ -387,7 +387,6 @@ impl Simulation {
                     obs_ns += t0.elapsed().as_nanos() as u64;
                 }
             }
-            energy.add(&sample);
             if chip > budget.global {
                 aopb_tokens += chip - budget.global;
                 cycles_over += 1;

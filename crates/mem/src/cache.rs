@@ -4,6 +4,10 @@
 //! type); data values are not modelled — timing and coherence are, and the
 //! only functionally-meaningful values in the simulation (synchronisation
 //! words) live in `ptb-sync`'s fabric.
+//!
+//! The array is one flat `sets × ways` vector (set `s` occupies ways
+//! `s·ways .. (s+1)·ways`): one allocation per cache rather than one per
+//! set, and a probe walks one contiguous run.
 
 use ptb_isa::Addr;
 use serde::{Deserialize, Serialize};
@@ -61,11 +65,16 @@ struct Way<S> {
     used: u64,
 }
 
-/// A set-associative tag array holding a state value per resident line.
+/// A set-associative tag array holding a state value per resident line,
+/// stored flat as `sets × ways` entries.
+///
+/// Replacement is true LRU: a fill takes the first invalid way of the
+/// set, else the way with the lowest last-use stamp (ties to the lowest
+/// way index).
 #[derive(Debug, Clone)]
 pub struct CacheArray<S> {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way<S>>>,
+    ways: Vec<Way<S>>,
     set_mask: u64,
     clock: u64,
     /// Lookup + update counters (for energy accounting).
@@ -78,17 +87,14 @@ impl<S: Copy + Default> CacheArray<S> {
         let n = cfg.sets();
         CacheArray {
             cfg,
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        state: S::default(),
-                        used: 0
-                    };
-                    cfg.ways
-                ];
-                n
+            ways: vec![
+                Way {
+                    tag: 0,
+                    valid: false,
+                    state: S::default(),
+                    used: 0
+                };
+                n * cfg.ways
             ],
             set_mask: n as u64 - 1,
             clock: 0,
@@ -110,13 +116,26 @@ impl<S: Copy + Default> CacheArray<S> {
         )
     }
 
+    /// The ways of set `set`.
+    #[inline]
+    fn set(&self, set: usize) -> &[Way<S>] {
+        let n = self.cfg.ways;
+        &self.ways[set * n..(set + 1) * n]
+    }
+
+    #[inline]
+    fn set_mut(&mut self, set: usize) -> &mut [Way<S>] {
+        let n = self.cfg.ways;
+        &mut self.ways[set * n..(set + 1) * n]
+    }
+
     /// Look up `addr`; on hit, bump LRU and return a copy of the state.
     pub fn probe(&mut self, addr: Addr) -> Option<S> {
         self.accesses += 1;
         self.clock += 1;
         let (set, tag) = self.index(addr);
         let clock = self.clock;
-        self.sets[set]
+        self.set_mut(set)
             .iter_mut()
             .find(|w| w.valid && w.tag == tag)
             .map(|w| {
@@ -129,7 +148,7 @@ impl<S: Copy + Default> CacheArray<S> {
     /// (snooping / assertions).
     pub fn peek(&self, addr: Addr) -> Option<S> {
         let (set, tag) = self.index(addr);
-        self.sets[set]
+        self.set(set)
             .iter()
             .find(|w| w.valid && w.tag == tag)
             .map(|w| w.state)
@@ -138,7 +157,11 @@ impl<S: Copy + Default> CacheArray<S> {
     /// Overwrite the state of a resident line. Returns false if absent.
     pub fn update(&mut self, addr: Addr, state: S) -> bool {
         let (set, tag) = self.index(addr);
-        if let Some(w) = self.sets[set].iter_mut().find(|w| w.valid && w.tag == tag) {
+        if let Some(w) = self
+            .set_mut(set)
+            .iter_mut()
+            .find(|w| w.valid && w.tag == tag)
+        {
             w.state = state;
             true
         } else {
@@ -155,7 +178,7 @@ impl<S: Copy + Default> CacheArray<S> {
         let line_bits = self.set_mask.trailing_ones();
         let line_bytes = self.cfg.line_bytes;
         let (set_idx, tag) = self.index(addr);
-        let set = &mut self.sets[set_idx];
+        let set = self.set_mut(set_idx);
         if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             w.state = state;
             w.used = clock;
@@ -188,7 +211,7 @@ impl<S: Copy + Default> CacheArray<S> {
     /// Remove `addr` if resident; returns its state.
     pub fn invalidate(&mut self, addr: Addr) -> Option<S> {
         let (set, tag) = self.index(addr);
-        self.sets[set]
+        self.set_mut(set)
             .iter_mut()
             .find(|w| w.valid && w.tag == tag)
             .map(|w| {
@@ -199,10 +222,7 @@ impl<S: Copy + Default> CacheArray<S> {
 
     /// Number of resident lines (test/diagnostic helper; O(capacity)).
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|w| w.valid).count())
-            .sum()
+        self.ways.iter().filter(|w| w.valid).count()
     }
 }
 

@@ -23,7 +23,7 @@
 //! let mut done = Vec::new();
 //! while done.is_empty() {
 //!     mem.tick();
-//!     done = mem.drain_responses();
+//!     mem.drain_responses(&mut done);
 //! }
 //! assert_eq!(done[0].id, 1);
 //! // A cold miss pays the 300-cycle memory latency.

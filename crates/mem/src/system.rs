@@ -3,7 +3,12 @@
 //!
 //! See [`crate::coherence`] for the protocol summary. The system is
 //! cycle-stepped: callers inject [`MemReq`]s, call [`MemorySystem::tick`]
-//! once per cycle, and drain [`MemResp`]s.
+//! once per cycle, and drain [`MemResp`]s into a buffer they own.
+//!
+//! Once warm, a cycle does not allocate: mesh arrivals land in a reused
+//! buffer, and MSHR wait lists come from a per-tile stock of spare
+//! vectors. Only state for lines never seen before (directory entries)
+//! still grows.
 
 use crate::cache::{CacheArray, CacheConfig};
 use crate::coherence::{CohMsg, Envelope, Moesi};
@@ -130,6 +135,9 @@ struct Tile {
     l2: CacheArray<Moesi>,
     inq: VecDeque<MemReq>,
     mshrs: Vec<Mshr>,
+    /// Emptied `waiting`/`deferred` lists of completed MSHRs, reused by
+    /// the next ones.
+    spare_lists: Vec<Vec<MemReq>>,
     wb: HashMap<u64, WbEntry>, // keyed by line index
     dir: HashMap<u64, DirEntry>,
     dir_queue: HashMap<u64, VecDeque<Envelope>>,
@@ -182,6 +190,8 @@ pub struct MemorySystem {
     events: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
     now: u64,
+    /// Mesh deliveries of the current cycle (reused across cycles).
+    arrivals: Vec<(NodeId, Envelope)>,
     responses: Vec<MemResp>,
     stats: MemStats,
     activity: MemActivity,
@@ -201,6 +211,7 @@ impl MemorySystem {
                 l2: CacheArray::new(cfg.l2),
                 inq: VecDeque::new(),
                 mshrs: Vec::with_capacity(cfg.mshrs_per_tile),
+                spare_lists: Vec::new(),
                 wb: HashMap::new(),
                 dir: HashMap::new(),
                 dir_queue: HashMap::new(),
@@ -213,6 +224,7 @@ impl MemorySystem {
             events: BinaryHeap::new(),
             seq: 0,
             now: 0,
+            arrivals: Vec::new(),
             responses: Vec::new(),
             stats: MemStats::new(n_tiles),
             activity: MemActivity::default(),
@@ -257,9 +269,10 @@ impl MemorySystem {
         true
     }
 
-    /// Take all responses produced up to and including the current cycle.
-    pub fn drain_responses(&mut self) -> Vec<MemResp> {
-        std::mem::take(&mut self.responses)
+    /// Append all responses produced up to and including the current
+    /// cycle to `out`.
+    pub fn drain_responses(&mut self, out: &mut Vec<MemResp>) {
+        out.append(&mut self.responses);
     }
 
     /// Per-tick activity counters (for energy accounting); resets deltas.
@@ -331,10 +344,14 @@ impl MemorySystem {
     pub fn advance_noc(&mut self) {
         self.now += 1;
         self.mesh.advance();
-        let arrivals = self.mesh.take_arrivals();
-        for (dst, env) in arrivals {
+        // Handling a message only sends new ones; nothing arrives before
+        // the next advance, so the buffer can be drained in place.
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        self.mesh.take_arrivals(&mut arrivals);
+        for (dst, env) in arrivals.drain(..) {
             self.handle_msg(dst.0, env);
         }
+        self.arrivals = arrivals;
     }
 
     /// Second half of a cycle: fire due latency events and run the
@@ -438,11 +455,15 @@ impl MemorySystem {
             self.tiles[t].inq.push_back(req);
             return;
         }
-        self.tiles[t].mshrs.push(Mshr {
+        let tile = &mut self.tiles[t];
+        let mut waiting = tile.spare_lists.pop().unwrap_or_default();
+        waiting.push(req);
+        let deferred = tile.spare_lists.pop().unwrap_or_default();
+        tile.mshrs.push(Mshr {
             line,
             want,
-            waiting: vec![req],
-            deferred: Vec::new(),
+            waiting,
+            deferred,
             data_or_upgrade: false,
             acks_expected: u32::MAX,
             acks_received: 0,
@@ -476,7 +497,7 @@ impl MemorySystem {
                 return;
             }
         }
-        let m = self.tiles[t].mshrs.swap_remove(pos);
+        let mut m = self.tiles[t].mshrs.swap_remove(pos);
         let new_state = match m.want {
             Want::Exclusive => Moesi::M,
             Want::Shared if m.granted_excl => Moesi::E,
@@ -489,13 +510,14 @@ impl MemorySystem {
         self.fill_l1(t, line);
         let home = self.home_of(line);
         self.send(t, home, line, CohMsg::Unblock);
-        for req in m.waiting {
+        for req in m.waiting.drain(..) {
             self.respond(req);
         }
-        for req in m.deferred {
-            // Needs a stronger state; goes around again.
-            self.tiles[t].inq.push_back(req);
-        }
+        let tile = &mut self.tiles[t];
+        // Needs a stronger state; goes around again.
+        tile.inq.extend(m.deferred.drain(..));
+        tile.spare_lists.push(m.waiting);
+        tile.spare_lists.push(m.deferred);
     }
 
     fn evict_l2(&mut self, t: usize, victim: Addr, state: Moesi) {

@@ -19,9 +19,11 @@ fn req(id: u64, core: usize, kind: AccessKind, addr: u64) -> MemReq {
 /// Tick until `n` responses have arrived or `limit` cycles pass.
 fn run_for_responses(ms: &mut MemorySystem, n: usize, limit: u64) -> Vec<(MemResp, u64)> {
     let mut got = Vec::new();
+    let mut done = Vec::new();
     for _ in 0..limit {
         ms.tick();
-        for r in ms.drain_responses() {
+        ms.drain_responses(&mut done);
+        for r in done.drain(..) {
             got.push((r, ms.now()));
         }
         if got.len() >= n {
@@ -300,9 +302,11 @@ fn determinism_same_inputs_same_timing() {
         for i in 0..4 {
             ms.request(req(i as u64, i, AccessKind::Store, 0x1000_0040));
         }
+        let mut done = Vec::new();
         for _ in 0..5000 {
             ms.tick();
-            for r in ms.drain_responses() {
+            ms.drain_responses(&mut done);
+            for r in done.drain(..) {
                 times.push((r.id, ms.now()));
             }
             if times.len() == 4 {
@@ -328,9 +332,10 @@ fn system_goes_idle_after_draining() {
     let got = run_for_responses(&mut ms, 8, 5000);
     assert_eq!(got.len(), 8);
     // Let WbAcks / Unblocks land.
+    let mut sink = Vec::new();
     for _ in 0..500 {
         ms.tick();
-        ms.drain_responses();
+        ms.drain_responses(&mut sink);
     }
     assert!(ms.is_idle(), "in-flight state left behind");
 }
@@ -380,7 +385,9 @@ fn contended_rmw_storm_completes() {
             }
         }
         ms.tick();
-        let done = ms.drain_responses().len();
+        let mut resps = Vec::new();
+        ms.drain_responses(&mut resps);
+        let done = resps.len();
         completed += done;
         outstanding -= done;
         if completed == total {
@@ -431,7 +438,9 @@ mod prop_soup {
                     }
                 }
                 ms.tick();
-                for resp in ms.drain_responses() {
+                let mut resps = Vec::new();
+                ms.drain_responses(&mut resps);
+                for resp in resps {
                     prop_assert!(
                         outstanding.remove(&resp.id),
                         "response for unknown/duplicate id {}",

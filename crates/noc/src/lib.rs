@@ -21,12 +21,12 @@
 //!
 //! let mut mesh: Mesh<&str> = Mesh::new(MeshConfig::for_cores(16));
 //! mesh.send(NodeId(0), NodeId(15), 72, "a cache line");
-//! let mut delivered = None;
-//! while delivered.is_none() {
+//! let mut arrived = Vec::new();
+//! while arrived.is_empty() {
 //!     mesh.advance();
-//!     delivered = mesh.take_arrivals().pop();
+//!     mesh.take_arrivals(&mut arrived);
 //! }
-//! let (dst, payload) = delivered.unwrap();
+//! let (dst, payload) = arrived.pop().unwrap();
 //! assert_eq!(dst, NodeId(15));
 //! assert_eq!(payload, "a cache line");
 //! // 6 hops x (4-cycle links + 1-cycle routers) + 17 trailing flits:

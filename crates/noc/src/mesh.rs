@@ -59,7 +59,8 @@ impl<T> Ord for InFlight<T> {
 /// A payload-generic 2-D mesh with link-reservation wormhole timing.
 ///
 /// Usage: [`Mesh::send`] during a cycle, then [`Mesh::advance`] once per
-/// cycle and drain [`Mesh::take_arrivals`].
+/// cycle and drain [`Mesh::take_arrivals`] into a buffer the caller
+/// owns and reuses.
 #[derive(Debug)]
 pub struct Mesh<T> {
     cfg: MeshConfig,
@@ -143,10 +144,10 @@ impl<T> Mesh<T> {
         }
     }
 
-    /// Drain messages that arrived at or before the current cycle, in
-    /// deterministic injection order.
-    pub fn take_arrivals(&mut self) -> Vec<(NodeId, T)> {
-        std::mem::take(&mut self.arrivals)
+    /// Append the messages that arrived at or before the current cycle
+    /// to `out`, in deterministic injection order.
+    pub fn take_arrivals(&mut self, out: &mut Vec<(NodeId, T)>) {
+        out.append(&mut self.arrivals);
     }
 
     /// Are any messages still in flight or undelivered?
@@ -181,9 +182,11 @@ mod tests {
 
     fn run_until_arrival(m: &mut Mesh<u32>, limit: u64) -> Vec<(NodeId, u32, u64)> {
         let mut out = Vec::new();
+        let mut arrived = Vec::new();
         for _ in 0..limit {
             m.advance();
-            for (dst, p) in m.take_arrivals() {
+            m.take_arrivals(&mut arrived);
+            for (dst, p) in arrived.drain(..) {
                 out.push((dst, p, m.now()));
             }
             if !out.is_empty() {
@@ -224,7 +227,8 @@ mod tests {
         let mut m = mesh();
         m.send(NodeId(5), NodeId(5), 64, 9);
         m.advance();
-        let got = m.take_arrivals();
+        let mut got = Vec::new();
+        m.take_arrivals(&mut got);
         assert_eq!(got, vec![(NodeId(5), 9)]);
     }
 
@@ -235,9 +239,11 @@ mod tests {
         m.send(NodeId(0), NodeId(1), 72, 1);
         m.send(NodeId(0), NodeId(1), 72, 2);
         let mut arrivals = Vec::new();
+        let mut arrived = Vec::new();
         for _ in 0..200 {
             m.advance();
-            arrivals.extend(m.take_arrivals().into_iter().map(|(_, p)| (p, m.now())));
+            m.take_arrivals(&mut arrived);
+            arrivals.extend(arrived.drain(..).map(|(_, p)| (p, m.now())));
         }
         assert_eq!(arrivals.len(), 2);
         let t1 = arrivals.iter().find(|(p, _)| *p == 1).unwrap().1;
@@ -254,9 +260,11 @@ mod tests {
         m.send(NodeId(0), NodeId(1), 72, 1);
         m.send(NodeId(4), NodeId(5), 72, 2);
         let mut times = Vec::new();
+        let mut arrived = Vec::new();
         for _ in 0..100 {
             m.advance();
-            times.extend(m.take_arrivals().into_iter().map(|(_, p)| (p, m.now())));
+            m.take_arrivals(&mut arrived);
+            times.extend(arrived.drain(..).map(|(_, p)| (p, m.now())));
         }
         let t1 = times.iter().find(|(p, _)| *p == 1).unwrap().1;
         let t2 = times.iter().find(|(p, _)| *p == 2).unwrap().1;
@@ -272,7 +280,8 @@ mod tests {
         for _ in 0..10 {
             m.advance();
         }
-        let got = m.take_arrivals();
+        let mut got = Vec::new();
+        m.take_arrivals(&mut got);
         assert_eq!(got.len(), 2);
         // Same delivery cycle -> injection order preserved.
         assert_eq!(got[0].1, 10);
@@ -285,9 +294,10 @@ mod tests {
         assert!(m.is_idle());
         m.send(NodeId(0), NodeId(3), 8, 1);
         assert!(!m.is_idle());
+        let mut sink = Vec::new();
         for _ in 0..100 {
             m.advance();
-            m.take_arrivals();
+            m.take_arrivals(&mut sink);
         }
         assert!(m.is_idle());
     }
@@ -297,9 +307,10 @@ mod tests {
         let mut m = mesh();
         m.send(NodeId(0), NodeId(1), 8, 1);
         m.send(NodeId(1), NodeId(0), 8, 2);
+        let mut sink = Vec::new();
         for _ in 0..50 {
             m.advance();
-            m.take_arrivals();
+            m.take_arrivals(&mut sink);
         }
         let s = m.stats();
         assert_eq!(s.messages, 2);
@@ -328,9 +339,11 @@ mod prop_tests {
                 expect.push((NodeId(d), min));
             }
             let mut got: Vec<(usize, NodeId, u64)> = Vec::new();
+            let mut arrived = Vec::new();
             for _ in 0..100_000u64 {
                 m.advance();
-                for (dst, p) in m.take_arrivals() {
+                m.take_arrivals(&mut arrived);
+                for (dst, p) in arrived.drain(..) {
                     got.push((p, dst, m.now()));
                 }
                 if m.is_idle() { break; }
@@ -362,6 +375,7 @@ mod prop_tests {
             let mut pending = msgs.iter().enumerate();
             let mut next = pending.next();
             let mut got: Vec<(usize, u64)> = Vec::new();
+            let mut arrived = Vec::new();
             for _ in 0..200_000u64 {
                 // Inject the next message after its requested gap, so the
                 // stream interleaves idle and back-to-back cycles.
@@ -372,7 +386,8 @@ mod prop_tests {
                     next = pending.next();
                 }
                 m.advance();
-                for (_, p) in m.take_arrivals() {
+                m.take_arrivals(&mut arrived);
+                for (_, p) in arrived.drain(..) {
                     got.push((p, m.now()));
                 }
                 if next.is_none() && m.is_idle() { break; }

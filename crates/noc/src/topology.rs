@@ -122,31 +122,33 @@ impl MeshConfig {
         self.nodes() * Direction::COUNT
     }
 
-    /// The XY dimension-ordered route from `src` to `dst`, as a sequence of
-    /// (router, direction) link traversals. Empty when `src == dst`.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<(NodeId, Direction)> {
-        let mut path = Vec::new();
+    /// The XY dimension-ordered route from `src` to `dst`, as an iterator
+    /// over (router, direction) link traversals: every x step, then every
+    /// y step. Empty when `src == dst`. The iterator is computed step by
+    /// step and allocates nothing, so the mesh walks it once per message.
+    pub fn route(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = (NodeId, Direction)> {
+        let cfg = *self;
         let mut cur = self.coord(src);
         let goal = self.coord(dst);
-        while cur.x != goal.x {
+        std::iter::from_fn(move || {
+            let here = cfg.node(cur);
             let dir = if goal.x > cur.x {
+                cur.x += 1;
                 Direction::East
-            } else {
+            } else if goal.x < cur.x {
+                cur.x -= 1;
                 Direction::West
-            };
-            path.push((self.node(cur), dir));
-            cur.x = if goal.x > cur.x { cur.x + 1 } else { cur.x - 1 };
-        }
-        while cur.y != goal.y {
-            let dir = if goal.y > cur.y {
+            } else if goal.y > cur.y {
+                cur.y += 1;
                 Direction::South
-            } else {
+            } else if goal.y < cur.y {
+                cur.y -= 1;
                 Direction::North
+            } else {
+                return None;
             };
-            path.push((self.node(cur), dir));
-            cur.y = if goal.y > cur.y { cur.y + 1 } else { cur.y - 1 };
-        }
-        path
+            Some((here, dir))
+        })
     }
 
     /// Manhattan hop distance between two nodes.
@@ -185,7 +187,7 @@ mod tests {
     fn xy_route_is_x_then_y() {
         let m = MeshConfig::for_cores(16); // 4x4
                                            // node 1 = (1,0), node 14 = (2,3)
-        let path = m.route(NodeId(1), NodeId(14));
+        let path: Vec<_> = m.route(NodeId(1), NodeId(14)).collect();
         assert_eq!(path.len(), m.hops(NodeId(1), NodeId(14)));
         assert_eq!(path[0], (NodeId(1), Direction::East));
         assert!(matches!(path[1], (_, Direction::South)));
@@ -194,7 +196,7 @@ mod tests {
     #[test]
     fn route_to_self_is_empty() {
         let m = MeshConfig::for_cores(4);
-        assert!(m.route(NodeId(3), NodeId(3)).is_empty());
+        assert!(m.route(NodeId(3), NodeId(3)).collect::<Vec<_>>().is_empty());
         assert_eq!(m.hops(NodeId(3), NodeId(3)), 0);
     }
 
@@ -241,7 +243,7 @@ mod prop_tests {
             let m = MeshConfig::for_cores(n);
             let src = NodeId(a % m.nodes());
             let dst = NodeId(b % m.nodes());
-            prop_assert_eq!(m.route(src, dst).len(), m.hops(src, dst));
+            prop_assert_eq!(m.route(src, dst).collect::<Vec<_>>().len(), m.hops(src, dst));
         }
 
         /// Dimension order: the route is a (possibly empty) run of
@@ -258,7 +260,7 @@ mod prop_tests {
             let m = MeshConfig::for_cores(n);
             let src = NodeId(a % m.nodes());
             let dst = NodeId(b % m.nodes());
-            let path = m.route(src, dst);
+            let path: Vec<_> = m.route(src, dst).collect();
             let is_x = |d: Direction| matches!(d, Direction::East | Direction::West);
             let x_steps: Vec<Direction> =
                 path.iter().map(|&(_, d)| d).take_while(|&d| is_x(d)).collect();

@@ -1,20 +1,28 @@
 //! Allocation telemetry: a counting wrapper around the system
 //! allocator, behind the `alloc-telemetry` feature.
 //!
-//! Install it in a binary with:
+//! Install it in a binary, then bracket a region of interest with
+//! [`snapshot`] and diff via [`AllocSnapshot::since`]:
 //!
-//! ```ignore
+//! ```
 //! #[global_allocator]
 //! static ALLOC: ptb_obs::alloc::CountingAlloc = ptb_obs::alloc::CountingAlloc;
+//!
+//! fn main() {
+//!     let before = ptb_obs::alloc::snapshot();
+//!     let v: Vec<u64> = Vec::with_capacity(64);
+//!     let delta = ptb_obs::alloc::snapshot().since(&before);
+//!     assert!(delta.allocs >= 1 && delta.bytes >= 512);
+//!     drop(v);
+//! }
 //! ```
 //!
-//! then bracket a region of interest with [`snapshot`] and diff via
-//! [`AllocSnapshot::since`]. Counters are process-global relaxed
-//! atomics: cheap enough to leave on (two fetch-adds per alloc), but
-//! the numbers cover *all* threads, so single-thread the region you
-//! want to attribute. The headline derived metric is allocs (and
-//! bytes) per simulated kilocycle — the quantitative case for arena
-//! allocation in the hot loop.
+//! Counters are process-global relaxed atomics: cheap enough to leave
+//! on (two fetch-adds per alloc), but the numbers cover *all* threads,
+//! so single-thread the region you want to attribute. The headline
+//! derived metric is allocs (and bytes) per simulated kilocycle; the
+//! simulator's cycle loop stays near zero once warm, and
+//! `tests/alloc_steady_state.rs` holds it there.
 
 // The one unsafe impl in ptb-obs: a `GlobalAlloc` cannot be safe. The
 // crate root switches `forbid(unsafe_code)` down to `deny` when this

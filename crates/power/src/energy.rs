@@ -2,22 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One global cycle's power snapshot, in tokens.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PowerSample {
-    /// Per-core tokens this cycle.
-    pub per_core: Vec<f64>,
-    /// Uncore tokens this cycle.
-    pub uncore: f64,
-}
-
-impl PowerSample {
-    /// Total chip tokens this cycle.
-    pub fn chip(&self) -> f64 {
-        self.per_core.iter().sum::<f64>() + self.uncore
-    }
-}
-
 /// Running energy totals for a simulation.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChipEnergy {
@@ -44,20 +28,26 @@ impl ChipEnergy {
         }
     }
 
-    /// Fold in one cycle's sample.
-    pub fn add(&mut self, sample: &PowerSample) {
-        debug_assert_eq!(sample.per_core.len(), self.per_core.len());
+    /// Fold in one cycle: `per_core` tokens (one per core, in core
+    /// order) and `uncore` tokens. Returns the cycle's chip total, the
+    /// per-core sum in core order plus uncore.
+    ///
+    /// Takes the caller's per-cycle token slice by reference, so the
+    /// simulator's loop integrates energy without building a sample.
+    pub fn add(&mut self, per_core: &[f64], uncore: f64) -> f64 {
+        debug_assert_eq!(per_core.len(), self.per_core.len());
         self.cycles += 1;
-        let chip = sample.chip();
-        for (acc, &s) in self.per_core.iter_mut().zip(&sample.per_core) {
+        let chip = per_core.iter().sum::<f64>() + uncore;
+        for (acc, &s) in self.per_core.iter_mut().zip(per_core) {
             *acc += s;
         }
-        self.uncore += sample.uncore;
+        self.uncore += uncore;
         self.total += chip;
         self.sum_sq += chip * chip;
         if chip > self.max_chip_cycle {
             self.max_chip_cycle = chip;
         }
+        chip
     }
 
     /// Mean chip tokens/cycle.
@@ -85,24 +75,17 @@ impl ChipEnergy {
 mod tests {
     use super::*;
 
-    fn sample(per_core: &[f64], uncore: f64) -> PowerSample {
-        PowerSample {
-            per_core: per_core.to_vec(),
-            uncore,
-        }
-    }
-
     #[test]
     fn chip_total_sums_cores_and_uncore() {
-        let s = sample(&[10.0, 20.0], 5.0);
-        assert_eq!(s.chip(), 35.0);
+        let mut e = ChipEnergy::new(2);
+        assert_eq!(e.add(&[10.0, 20.0], 5.0), 35.0);
     }
 
     #[test]
     fn accumulator_integrates() {
         let mut e = ChipEnergy::new(2);
-        e.add(&sample(&[10.0, 20.0], 5.0));
-        e.add(&sample(&[30.0, 0.0], 0.0));
+        e.add(&[10.0, 20.0], 5.0);
+        e.add(&[30.0, 0.0], 0.0);
         assert_eq!(e.cycles, 2);
         assert_eq!(e.per_core, vec![40.0, 20.0]);
         assert_eq!(e.uncore, 5.0);
@@ -115,7 +98,7 @@ mod tests {
     fn stddev_of_constant_signal_is_zero() {
         let mut e = ChipEnergy::new(1);
         for _ in 0..100 {
-            e.add(&sample(&[42.0], 0.0));
+            e.add(&[42.0], 0.0);
         }
         assert!(e.power_stddev() < 1e-9);
     }
@@ -124,7 +107,7 @@ mod tests {
     fn stddev_of_alternating_signal() {
         let mut e = ChipEnergy::new(1);
         for i in 0..1000 {
-            e.add(&sample(&[if i % 2 == 0 { 0.0 } else { 10.0 }], 0.0));
+            e.add(&[if i % 2 == 0 { 0.0 } else { 10.0 }], 0.0);
         }
         assert!((e.power_stddev() - 5.0).abs() < 1e-9);
     }

@@ -41,7 +41,7 @@ pub mod thermal;
 pub use activity::CoreActivity;
 pub use classes::TokenClass;
 pub use dvfs::{DvfsMode, DFS_MODES, DFS_MODES_REF, DVFS_MODES, DVFS_MODES_REF};
-pub use energy::{ChipEnergy, PowerSample};
+pub use energy::ChipEnergy;
 pub use model::{core_cycle_tokens, uncore_cycle_tokens, UncoreActivity};
 pub use params::PowerParams;
 pub use ptht::Ptht;
