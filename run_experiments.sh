@@ -13,7 +13,7 @@
 # `# dropped:` footer), and the script runs every figure before exiting
 # nonzero if anything was quarantined.
 set -euo pipefail
-cd /root/repo
+cd "$(dirname "$0")"
 
 export PTB_SCALE="${PTB_SCALE:-small}" PTB_OUT="${PTB_OUT:-target/figures}" PTB_JOBS="${PTB_JOBS:-1}"
 FARM_DIR="${PTB_FARM_DIR:-target/farm}"
