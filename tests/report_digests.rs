@@ -1,4 +1,5 @@
-//! Report digests: every mechanism's simulated result, pinned bit-exact.
+//! Report digests: every mechanism's simulated result and job key,
+//! pinned bit-exact.
 //!
 //! The figure goldens are CSVs rounded to 0.1 %, so a change that moves
 //! a report's low-order bits passes them. This test pins the exact bytes
@@ -6,10 +7,11 @@
 //! the simulation and compares the FNV-128 digest of
 //! `json::to_string(&report.to_value())` — the bytes `ptb_serve` serves
 //! and the benchmark's `report_digest` — with one line of
-//! `tests/goldens/report_digests.txt`:
+//! `tests/goldens/report_digests.txt`. The line also pins the point's
+//! `FarmJob::key`, the content address every store entry is filed under:
 //!
 //! ```text
-//! bench mechanism n_cores digest
+//! bench mechanism n_cores job_key digest
 //! ```
 //!
 //! The matrix covers every `MechanismKind`: all 14 benchmarks with no
@@ -23,6 +25,7 @@
 
 use ptb_core::{MechanismKind, PtbPolicy, SimConfig, Simulation};
 use ptb_farm::hash::digest_hex;
+use ptb_farm::FarmJob;
 use ptb_workloads::{Benchmark, Scale};
 use serde::{json, Serialize};
 use std::path::Path;
@@ -74,12 +77,13 @@ impl Point {
             ..SimConfig::default()
         };
         cfg.ptb.cluster_size = self.cluster;
+        let job_key = FarmJob::new(self.bench, cfg.clone()).key();
         let spec = self.bench.spec(self.n_cores, Scale::Test);
         let report = Simulation::new(cfg)
             .run_spec(&spec)
             .unwrap_or_else(|e| panic!("{}: {e}", self.key()));
         let digest = digest_hex(json::to_string(&report.to_value()).as_bytes());
-        format!("{} {digest}", self.key())
+        format!("{} {job_key} {digest}", self.key())
     }
 }
 
@@ -112,9 +116,10 @@ fn check(points: &[Point]) {
     let mut diffs = Vec::new();
     for (point, line) in points.iter().zip(&computed) {
         let key = point.key();
+        // The point's columns are everything before the key and digest.
         let pinned = golden
             .lines()
-            .find(|l| l.rsplit_once(' ').is_some_and(|(k, _)| k == key));
+            .find(|l| l.rsplitn(3, ' ').nth(2) == Some(key.as_str()));
         match pinned {
             Some(p) if p == line => {}
             Some(p) => diffs.push(format!("  pinned   {p}\n  computed {line}")),
