@@ -9,6 +9,13 @@
 //! the stored config tree against the requested one, even a hash
 //! collision degrades to a re-simulation, never to a wrong result.
 //!
+//! [`crate::FarmJob::key`] computes the same digest without building
+//! the material: it streams the pieces into one two-lane hasher and
+//! takes the workload's canonical JSON from a small process-wide cache,
+//! since a spec is a pure function of `(bench, n_cores, scale)` and many
+//! jobs share one. [`key_material`] and [`job_key`] are the reference
+//! construction it is tested against.
+//!
 //! The module is also the repository's one home of the small stable
 //! hashes the farm and the service share: [`fnv1a64`] (also the `PTBE`
 //! frame checksum and `sim_check`'s seed spelling), [`splitmix64`], and
@@ -16,10 +23,10 @@
 //! `ChaosNet`.
 
 use ptb_core::SimConfig;
-use ptb_workloads::WorkloadSpec;
+use ptb_workloads::{Benchmark, Scale, WorkloadSpec};
 use serde::{json, Map, Serialize, Value};
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
 
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -29,17 +36,11 @@ const FNV_BASIS_A: u64 = 0xcbf2_9ce4_8422_2325;
 /// fixed forever (changing it invalidates every store).
 const FNV_BASIS_B: u64 = FNV_BASIS_A ^ 0x9e37_79b9_7f4a_7c15;
 
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Standard 64-bit FNV-1a of `bytes`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a(bytes, FNV_BASIS_A)
+    bytes.iter().fold(FNV_BASIS_A, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// The SplitMix64 finaliser: decorrelates structured 64-bit inputs.
@@ -86,13 +87,43 @@ impl SiteRolls {
     }
 }
 
+/// The 128-bit FNV-1a digest, fed in pieces: two 64-bit lanes with
+/// different offset bases, both updated in one pass over each piece.
+#[derive(Debug, Clone, Copy)]
+struct Fnv128 {
+    a: u64,
+    b: u64,
+}
+
+impl Default for Fnv128 {
+    fn default() -> Self {
+        Fnv128 {
+            a: FNV_BASIS_A,
+            b: FNV_BASIS_B,
+        }
+    }
+}
+
+impl Fnv128 {
+    /// Append `bytes` to the hashed input.
+    fn update(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            self.b = (self.b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The digest as 32 lowercase hex chars.
+    fn hex(&self) -> String {
+        format!("{:016x}{:016x}", self.a, self.b)
+    }
+}
+
 /// 128-bit hex digest (32 lowercase hex chars) of `material`.
 pub fn digest_hex(material: &[u8]) -> String {
-    format!(
-        "{:016x}{:016x}",
-        fnv1a(material, FNV_BASIS_A),
-        fnv1a(material, FNV_BASIS_B)
-    )
+    let mut h = Fnv128::default();
+    h.update(material);
+    h.hex()
 }
 
 /// The canonical key material for a job, as a JSON `Value` tree:
@@ -116,6 +147,61 @@ pub fn key_material(config: &SimConfig, spec: &WorkloadSpec) -> Value {
 /// Content key of a `(config, workload)` pair.
 pub fn job_key(config: &SimConfig, spec: &WorkloadSpec) -> String {
     digest_hex(json::to_string(&key_material(config, spec)).as_bytes())
+}
+
+/// Workload JSONs kept by [`workload_json`]. Request bodies choose
+/// `n_cores`, so the cache must be bounded; the figure sweeps use far
+/// fewer distinct triples per process.
+const WORKLOAD_CACHE_CAP: usize = 64;
+
+/// Canonical JSON of each recently keyed `(bench, n_cores, scale)`'s
+/// spec, oldest first.
+type WorkloadCache = VecDeque<((Benchmark, usize, Scale), Arc<str>)>;
+
+static WORKLOAD_JSON: Mutex<WorkloadCache> = Mutex::new(VecDeque::new());
+
+/// `json::to_string(&bench.spec(n_cores, scale))`, from the cache when
+/// the triple was keyed recently. The spec is built outside the lock;
+/// a full cache drops its oldest entry.
+fn workload_json(bench: Benchmark, n_cores: usize, scale: Scale) -> Arc<str> {
+    let triple = (bench, n_cores, scale);
+    let find = |cache: &WorkloadCache| {
+        cache
+            .iter()
+            .find(|(t, _)| *t == triple)
+            .map(|(_, json)| json.clone())
+    };
+    if let Some(hit) = find(&WORKLOAD_JSON.lock().expect("workload cache lock")) {
+        return hit;
+    }
+    let built: Arc<str> = json::to_string(&bench.spec(n_cores, scale)).into();
+    let mut cache = WORKLOAD_JSON.lock().expect("workload cache lock");
+    if let Some(raced) = find(&cache) {
+        return raced;
+    }
+    if cache.len() == WORKLOAD_CACHE_CAP {
+        cache.pop_front();
+    }
+    cache.push_back((triple, built.clone()));
+    built
+}
+
+/// [`job_key`] of `bench` under `config`, streamed: the pieces of
+/// [`key_material`]'s compact JSON, in its sorted key order, go straight
+/// into the hasher, with the workload JSON from [`workload_json`].
+pub(crate) fn farm_job_key(bench: Benchmark, config: &SimConfig) -> String {
+    let workload = workload_json(bench, config.n_cores, config.scale);
+    let mut h = Fnv128::default();
+    h.update(b"{\"config\":");
+    h.update(json::to_string(config).as_bytes());
+    h.update(b",\"report_format\":");
+    h.update(ptb_core::report::REPORT_FORMAT.to_string().as_bytes());
+    h.update(b",\"store_format\":");
+    h.update(crate::STORE_FORMAT.to_string().as_bytes());
+    h.update(b",\"workload\":");
+    h.update(workload.as_bytes());
+    h.update(b"}");
+    h.hex()
 }
 
 #[cfg(test)]
@@ -154,6 +240,39 @@ mod tests {
         assert_eq!(job.key(), "09a70358d2b6a7ee6bed3387c78c30f1");
         // `sim_check --seed 0xPTB`, the CI fuzzing seed.
         assert_eq!(fnv1a64(b"0xPTB"), 0x62e5_587d_3f29_0b09);
+    }
+
+    /// The streamed key equals the reference construction across every
+    /// benchmark, core count and scale, with enough distinct triples in
+    /// one process that the bounded cache evicts and refills.
+    #[test]
+    fn streamed_key_matches_the_reference_through_cache_eviction() {
+        let mechanisms = [
+            MechanismKind::None,
+            MechanismKind::PtbTwoLevel {
+                policy: ptb_core::PtbPolicy::Dynamic,
+                relax: 0.0,
+            },
+        ];
+        for scale in [Scale::Test, Scale::Small] {
+            for n in [1, 2, 4, 8, 16, 32] {
+                for bench in Benchmark::ALL {
+                    let spec = bench.spec(n, scale);
+                    for mechanism in mechanisms {
+                        let config = SimConfig {
+                            n_cores: n,
+                            scale,
+                            mechanism,
+                            ..SimConfig::default()
+                        };
+                        let job = crate::FarmJob::new(bench, config.clone());
+                        assert_eq!(job.key(), job_key(&config, &spec), "{}", job.label());
+                    }
+                }
+            }
+        }
+        let cache = WORKLOAD_JSON.lock().unwrap();
+        assert!(cache.len() <= WORKLOAD_CACHE_CAP);
     }
 
     #[test]

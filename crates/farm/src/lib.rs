@@ -128,9 +128,12 @@ impl FarmJob {
     /// canonical JSON of the config, the fully expanded workload spec
     /// (benchmark programs, profiles and seed), and the store/report
     /// format versions. Stable across processes and platforms.
+    ///
+    /// Equal to [`hash::job_key`] of the config and
+    /// `bench.spec(n_cores, scale)`, but computed from a per-process
+    /// cache of the spec's JSON (see [`hash`]).
     pub fn key(&self) -> String {
-        let spec = self.bench.spec(self.config.n_cores, self.config.scale);
-        hash::job_key(&self.config, &spec)
+        hash::farm_job_key(self.bench, &self.config)
     }
 
     /// Human-readable label for progress output and journal listings.
