@@ -142,11 +142,31 @@ impl JobRecord {
 }
 
 /// Registry record of one batch: its job keys plus, once every job has
-/// settled, when that happened (the eviction clock).
-#[derive(Debug, Clone)]
+/// settled, when that happened (the eviction clock). Settled batches
+/// stay for `batch_ttl`, so a busy server holds many: each costs one
+/// 16-byte key per job plus this record.
+#[derive(Debug)]
 pub(crate) struct BatchRec {
-    pub(crate) keys: Vec<String>,
+    pub(crate) keys: Box<[u128]>,
     pub(crate) settled_at: Option<Instant>,
+}
+
+/// A job key as a batch stores it. Keys come from [`FarmJob::key`],
+/// which always spells 128 bits as 32 lowercase hex digits.
+fn pack_key(key: &str) -> u128 {
+    u128::from_str_radix(key, 16).expect("FarmJob::key is 32 hex digits")
+}
+
+/// The [`FarmJob::key`] spelling of a packed key.
+fn unpack_key(key: u128) -> String {
+    format!("{key:032x}")
+}
+
+/// The batch number behind a wire id, which the server spells `b<n>`.
+/// Any other spelling of `n` names no batch.
+fn batch_number(id: &str) -> Option<u64> {
+    let n = id.strip_prefix('b')?.parse().ok()?;
+    (format!("b{n}") == id).then_some(n)
 }
 
 /// How a submit resolved one job (also its wire name).
@@ -348,7 +368,8 @@ pub struct ServeState {
     pub(crate) farm: Arc<Farm>,
     pub(crate) cfg: ServeConfig,
     pub(crate) jobs: Mutex<HashMap<String, JobRecord>>,
-    pub(crate) batches: Mutex<HashMap<String, BatchRec>>,
+    /// Batches by number (wire id `b<n>`).
+    pub(crate) batches: Mutex<HashMap<u64, BatchRec>>,
     batch_seq: AtomicU64,
     pub(crate) queue: Mutex<VecDeque<String>>,
     pub(crate) wake: Condvar,
@@ -501,15 +522,15 @@ impl ServeState {
             drop(queue);
             self.wake.notify_all();
         }
-        let id = format!("b{}", self.batch_seq.fetch_add(1, Ordering::Relaxed) + 1);
+        let n = self.batch_seq.fetch_add(1, Ordering::Relaxed) + 1;
         self.batches.lock().expect("batches lock").insert(
-            id.clone(),
+            n,
             BatchRec {
-                keys: resolved.iter().map(|(k, _, _)| k.clone()).collect(),
+                keys: resolved.iter().map(|(k, _, _)| pack_key(k)).collect(),
                 settled_at: None,
             },
         );
-        (id, resolved)
+        (format!("b{n}"), resolved)
     }
 
     /// Current record of one job, by key.
@@ -524,12 +545,13 @@ impl ServeState {
             .batches
             .lock()
             .expect("batches lock")
-            .get(id)
+            .get(&batch_number(id)?)
             .map(|b| b.keys.clone())?;
         let jobs = self.jobs.lock().expect("jobs lock");
         Some(
-            keys.into_iter()
-                .map(|k| {
+            keys.iter()
+                .map(|&k| {
+                    let k = unpack_key(k);
                     let rec = jobs.get(&k).cloned();
                     (k, rec)
                 })
@@ -566,21 +588,21 @@ impl ServeState {
     pub fn sweep_batches(&self) -> usize {
         // Snapshot, judge, then stamp — three short critical sections,
         // never two locks held at once.
-        let unsettled: Vec<(String, Vec<String>)> = {
+        let unsettled: Vec<(u64, Box<[u128]>)> = {
             let batches = self.batches.lock().expect("batches lock");
             batches
                 .iter()
                 .filter(|(_, b)| b.settled_at.is_none())
-                .map(|(id, b)| (id.clone(), b.keys.clone()))
+                .map(|(&id, b)| (id, b.keys.clone()))
                 .collect()
         };
         let mut now_settled = Vec::new();
         if !unsettled.is_empty() {
             let jobs = self.jobs.lock().expect("jobs lock");
             for (id, keys) in unsettled {
-                let all_settled = keys.iter().all(|k| {
+                let all_settled = keys.iter().all(|&k| {
                     matches!(
-                        jobs.get(k).map(|r| &r.state),
+                        jobs.get(&unpack_key(k)).map(|r| &r.state),
                         Some(JobState::Done) | Some(JobState::Failed(_))
                     )
                 });
