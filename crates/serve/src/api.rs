@@ -43,6 +43,11 @@ use std::time::{Duration, Instant};
 /// Max jobs accepted in one `POST /v1/batches`.
 pub const MAX_BATCH_JOBS: usize = 1024;
 
+/// Largest `n_cores` a submitted job may ask for: twice the 32 cores
+/// the largest figure simulates. A job's workload spec, and the time to
+/// key it, grow linearly with its core count.
+pub const MAX_CORES: usize = 64;
+
 /// Route one parsed request. This is the function handed to
 /// [`crate::http::Server::spawn`]; it never panics a worker — handler
 /// errors come back as JSON `{"error": ...}` bodies.
@@ -308,6 +313,14 @@ fn parse_job(v: &Value) -> Result<FarmJob, String> {
     if let Some(m) = obj.get("mechanism") {
         config.mechanism = ptb_core::MechanismKind::from_value(m)
             .map_err(|e| format!("bad \"mechanism\": {e}"))?;
+    }
+    // Checked on the final config, whichever form set it: a 0-core job
+    // has no workload to key.
+    if !(1..=MAX_CORES).contains(&config.n_cores) {
+        return Err(format!(
+            "\"n_cores\" must be between 1 and {MAX_CORES}, got {}",
+            config.n_cores
+        ));
     }
     Ok(FarmJob::new(bench, config))
 }

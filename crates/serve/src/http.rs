@@ -20,6 +20,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -389,12 +390,16 @@ impl Server {
 fn handle_connection(mut stream: TcpStream, handler: &Handler, timeout: Duration) {
     stream.set_read_timeout(Some(timeout)).ok();
     stream.set_write_timeout(Some(timeout)).ok();
+    // A panic in the handler, or in a streaming body's producer, costs
+    // its own request and no more: the worker thread lives on to serve
+    // the next connection.
     let response = match read_request(&mut stream) {
-        Ok(req) => handler(&req),
+        Ok(req) => panic::catch_unwind(AssertUnwindSafe(|| handler(&req)))
+            .unwrap_or_else(|_| Response::error(500, "internal error: request handler panicked")),
         Err(e) => Response::error(400, &format!("bad request: {e}")),
     };
     // A peer that vanished mid-reply is its own problem.
-    response.write_to(&mut stream).ok();
+    panic::catch_unwind(AssertUnwindSafe(|| response.write_to(&mut stream))).ok();
 }
 
 /// Minimal one-shot HTTP client for the bundled tools and tests: sends
@@ -461,6 +466,26 @@ mod tests {
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
         let (status, _) = http_call(addr, "GET", "/still/up", None).unwrap();
         assert_eq!(status, 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_one_500_not_the_worker() {
+        let handler: Handler = Arc::new(|req: &Request| {
+            assert_ne!(req.path, "/panic", "a handler bug");
+            Response::json(200, "\"ok\"".to_owned())
+        });
+        let cfg = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::spawn("127.0.0.1:0", cfg, handler).unwrap();
+        for _ in 0..3 {
+            let (status, body) = http_call(server.addr(), "GET", "/panic", None).unwrap();
+            assert_eq!(status, 500, "{body}");
+            let (status, _) = http_call(server.addr(), "GET", "/fine", None).unwrap();
+            assert_eq!(status, 200, "the only worker still serves");
+        }
         server.shutdown();
     }
 

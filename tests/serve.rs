@@ -107,6 +107,24 @@ fn batch_lifecycle_serves_byte_identical_reports_and_dedups_resubmits() {
     }
     poll_batch(addr, &batch_id);
 
+    // The batch lists its jobs' keys in submission order, and answers
+    // only to the id spelling the server issued.
+    assert_eq!(batch_id, "b1");
+    let (_, bv) = get_json(addr, "/v1/batches/b1");
+    let listed: Vec<String> = bv
+        .get("jobs")
+        .and_then(Value::as_array)
+        .expect("batch jobs")
+        .iter()
+        .map(|j| str_field(j, "key"))
+        .collect();
+    let submitted: Vec<String> = jobs.iter().map(FarmJob::key).collect();
+    assert_eq!(listed, submitted);
+    for alias in ["b01", "b+1", "B1", "1"] {
+        let (status, _) = get_json(addr, &format!("/v1/batches/{alias}"));
+        assert_eq!(status, 404, "batch id {alias:?}");
+    }
+
     // Served reports are byte-identical to direct in-process runs.
     for j in &jobs {
         let key = j.key();
@@ -370,9 +388,10 @@ fn chaos_faulted_store_degrades_gracefully_and_server_stays_up() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `ptb_serve` as a child process, killed on drop. A stack overflow
-/// aborts the whole process, so a crash test cannot share the test
-/// binary with the server it crashes.
+/// `ptb_serve` as a child process with two HTTP workers, killed on
+/// drop. A stack overflow aborts the whole process, so a crash test
+/// cannot share the test binary with the server it crashes; two workers
+/// make a request that kills one of them show within a few requests.
 struct ServeChild {
     child: std::process::Child,
     addr: SocketAddr,
@@ -387,6 +406,7 @@ impl ServeChild {
             .arg("127.0.0.1:0")
             .arg("--farm-dir")
             .arg(farm_dir)
+            .args(["--workers", "2"])
             .env_remove("PTB_CHAOS")
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::null())
@@ -433,6 +453,75 @@ fn deeply_nested_json_is_a_400_not_a_crash() {
     }
     let (status, _) = get_json(server.addr, "/healthz");
     assert_eq!(status, 200, "server still healthy after the deep bodies");
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A job with 0 cores used to panic an HTTP worker while keying it, and
+/// each such request took one worker from the pool for good. It is a
+/// 400, and the server keeps answering.
+#[test]
+fn zero_core_jobs_are_a_400_and_keep_every_worker() {
+    let dir = serve_dir("zerocores");
+    let server = ServeChild::spawn(&dir.join("farm"));
+    // Three 0-core batches (more than the two workers) in the shorthand
+    // and the full-config form, then one above `MAX_CORES`.
+    let bodies = [
+        r#"{"jobs":[{"bench":"fft","n_cores":0}]}"#.to_owned(),
+        submit_body(&[job(Benchmark::Fft, MechanismKind::None, 0)]),
+        r#"{"jobs":[{"bench":"radix","n_cores":0,"scale":"Test"}]}"#.to_owned(),
+        r#"{"jobs":[{"bench":"fft","n_cores":65}]}"#.to_owned(),
+    ];
+    for body in &bodies {
+        let (status, resp) = http_call(server.addr, "POST", "/v1/batches", Some(body))
+            .unwrap_or_else(|e| panic!("POST {body}: no answer ({e})"));
+        assert_eq!(status, 400, "{body}: {resp}");
+        assert!(str_field(&json::parse(&resp).expect("JSON"), "error").contains("n_cores"));
+    }
+    let (status, _) = get_json(server.addr, "/healthz");
+    assert_eq!(status, 200, "server still answers after the 0-core batches");
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// POST `body` to `path` and read the reply, giving up after `limit`.
+fn post_within(addr: SocketAddr, path: &str, body: &str, limit: Duration) -> (u16, String) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(limit)).ok();
+    let head = format!(
+        "POST {path} HTTP/1.1\r\nHost: ptb-serve\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).expect("send head");
+    stream.write_all(body.as_bytes()).expect("send body");
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .unwrap_or_else(|e| panic!("no reply to POST {path} within {limit:?}: {e}"));
+    let status = raw
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {raw:?}"));
+    let payload = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_owned());
+    (status, payload.unwrap_or_default())
+}
+
+/// One 2 MiB JSON string used to cost minutes of CPU, because the
+/// parser re-validated the rest of the input for every character. It
+/// is answered in linear time.
+#[test]
+fn a_two_mebibyte_json_string_is_answered_promptly() {
+    let dir = serve_dir("bigstring");
+    let server = ServeChild::spawn(&dir.join("farm"));
+    let body = format!("\"{}\"", "x".repeat(2 << 20));
+    let t0 = Instant::now();
+    let (status, resp) = post_within(server.addr, "/v1/batches", &body, Duration::from_secs(10));
+    assert_eq!(status, 400, "{resp}");
+    assert!(t0.elapsed() < Duration::from_secs(10));
+    let (status, _) = get_json(server.addr, "/healthz");
+    assert_eq!(status, 200);
     drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }
