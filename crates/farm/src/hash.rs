@@ -89,7 +89,6 @@ impl SiteRolls {
 
 /// The 128-bit FNV-1a digest, fed in pieces: two 64-bit lanes with
 /// different offset bases, both updated in one pass over each piece.
-#[derive(Debug, Clone, Copy)]
 struct Fnv128 {
     a: u64,
     b: u64,

@@ -28,7 +28,8 @@
 //! lowercase Table-2 name (`"fft"`) or the enum variant (`"Fft"`).
 //! `config` is a full `SimConfig` value; when omitted, defaults apply.
 //! The shorthand keys `n_cores`, `scale`, and `mechanism` override the
-//! config in place for handwritten curl requests.
+//! config in place for handwritten curl requests. Whichever form sets
+//! it, `n_cores` must lie in `1..=`[`MAX_CORES`].
 
 use crate::fleet::{claim_response_value, CompleteOutcome, FailOutcome, FleetRefusal};
 use crate::http::{Request, Response};
