@@ -484,42 +484,22 @@ fn zero_core_jobs_are_a_400_and_keep_every_worker() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// POST `body` to `path` and read the reply, giving up after `limit`.
-fn post_within(addr: SocketAddr, path: &str, body: &str, limit: Duration) -> (u16, String) {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(limit)).ok();
-    let head = format!(
-        "POST {path} HTTP/1.1\r\nHost: ptb-serve\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("send head");
-    stream.write_all(body.as_bytes()).expect("send body");
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .unwrap_or_else(|e| panic!("no reply to POST {path} within {limit:?}: {e}"));
-    let status = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {raw:?}"));
-    let payload = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_owned());
-    (status, payload.unwrap_or_default())
-}
-
-/// One 2 MiB JSON string used to cost minutes of CPU, because the
-/// parser re-validated the rest of the input for every character. It
-/// is answered in linear time.
+/// A parser that re-validates the rest of the input for every plain
+/// character spends about 80 s of CPU on one 2 MiB JSON string. The
+/// reply must come within 10 s, and the server must stay healthy.
 #[test]
 fn a_two_mebibyte_json_string_is_answered_promptly() {
     let dir = serve_dir("bigstring");
     let server = ServeChild::spawn(&dir.join("farm"));
     let body = format!("\"{}\"", "x".repeat(2 << 20));
-    let t0 = Instant::now();
-    let (status, resp) = post_within(server.addr, "/v1/batches", &body, Duration::from_secs(10));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let addr = server.addr;
+    std::thread::spawn(move || tx.send(http_call(addr, "POST", "/v1/batches", Some(&body))));
+    let (status, resp) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a reply within 10 s")
+        .expect("round-trip");
     assert_eq!(status, 400, "{resp}");
-    assert!(t0.elapsed() < Duration::from_secs(10));
     let (status, _) = get_json(server.addr, "/healthz");
     assert_eq!(status, 200);
     drop(server);
