@@ -12,7 +12,7 @@ use ptb_farm::{exec, ExecConfig, Farm, FarmJob, JobError, Quarantine};
 use ptb_metrics::Table;
 use ptb_workloads::{Benchmark, Scale};
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// One simulation to run.
@@ -459,13 +459,24 @@ pub fn emit_partial(runner: &Runner, name: &str, table: &Table, dropped: &[Strin
     let csv_path = runner.out_dir.join(format!("{name}.csv"));
     let mut csv = table.to_csv();
     csv.push_str(&footer);
-    if let Err(e) = std::fs::write(&txt_path, &text) {
+    if let Err(e) = write_artefact(&txt_path, &text) {
         eprintln!("warning: cannot write {}: {e}", txt_path.display());
     }
-    if let Err(e) = std::fs::write(&csv_path, csv) {
+    if let Err(e) = write_artefact(&csv_path, &csv) {
         eprintln!("warning: cannot write {}: {e}", csv_path.display());
     }
     println!("[wrote {} and {}]", txt_path.display(), csv_path.display());
+}
+
+/// Write `contents` to `path` as a new file. An existing artefact is
+/// unlinked first, not truncated: on ext4 (`auto_da_alloc`) closing a
+/// truncated-and-rewritten file starts its writeback at once, and the
+/// next rewrite waits for that write to reach the disk, so back-to-back
+/// reruns of a warm figure would each block on disk latency. When the
+/// unlink fails, the file is rewritten in place.
+fn write_artefact(path: &Path, contents: &str) -> std::io::Result<()> {
+    std::fs::remove_file(path).ok();
+    std::fs::write(path, contents)
 }
 
 #[cfg(test)]
@@ -634,10 +645,17 @@ mod tests {
     #[test]
     fn emit_writes_artifacts() {
         let r = test_runner();
+        let mut long = Table::new("t", &["a"]);
+        long.row(vec!["123456789".into()]);
+        emit(&r, "unit_test_table", &long);
+        // A rerun replaces each artefact whole, also with shorter content.
         let mut t = Table::new("t", &["a"]);
         t.row(vec!["1".into()]);
         emit(&r, "unit_test_table", &t);
-        assert!(r.out_dir.join("unit_test_table.txt").exists());
-        assert!(r.out_dir.join("unit_test_table.csv").exists());
+        let read = |ext: &str| {
+            std::fs::read_to_string(r.out_dir.join(format!("unit_test_table.{ext}"))).unwrap()
+        };
+        assert_eq!(read("txt"), t.to_text());
+        assert_eq!(read("csv"), t.to_csv());
     }
 }
