@@ -55,6 +55,7 @@ pub mod trace;
 pub use budget::BudgetSpec;
 pub use config::{MechanismKind, PtbConfig, PtbPolicy, SimConfig};
 pub use mechanisms::Mechanism;
+pub use ptb_mem::MAX_CORES;
 pub use report::RunReport;
 pub use sim::Simulation;
 pub use trace::PowerTrace;

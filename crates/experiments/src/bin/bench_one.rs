@@ -4,11 +4,13 @@
 //!
 //! Args: `bench_one [benchmark] [cores]`, plus the shared observability
 //! flags (`--trace-out`, `--metrics-out`, `--profile`, `--audit` — see
-//! `ptb_experiments::obs`), which apply to the baseline run.
+//! `ptb_experiments::obs`), which apply to the baseline run. `cores`
+//! must lie in `1..=64`. Unobserved runs may be answered from the result
+//! farm, so the output carries no speed; `sim_throughput` measures that.
 
 use ptb_core::report::{normalized_aopb_pct, normalized_energy_pct, slowdown_pct};
 use ptb_core::{MechanismKind, PtbPolicy};
-use ptb_experiments::{Job, ObsArgs, Runner};
+use ptb_experiments::{cores_or_exit, ObsArgs, Runner};
 use ptb_workloads::Benchmark;
 
 fn main() {
@@ -19,24 +21,24 @@ fn main() {
         .get(1)
         .and_then(|s| Benchmark::from_name(s))
         .unwrap_or(Benchmark::Fft);
-    let cores = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
-    let t0 = std::time::Instant::now();
-    let base = obs.run_one(&runner, Job::new(bench, MechanismKind::None, cores));
-    let dt = t0.elapsed();
+    let cores = cores_or_exit("cores", args.get(2).map(String::as_str));
+    let base_sweep = obs.run_sweep(&runner, &[runner.job(bench, MechanismKind::None, cores)]);
+    let Some(base) = base_sweep.get(0) else {
+        // Quarantined under --keep-going: nothing to normalise against.
+        std::process::exit(1);
+    };
     println!(
-        "{} {}c base: {} cycles, {} committed, {:.2}s wall, {:.2} Mcycles/s, mean power {:.0} (budget {:.0}), over-budget {:.0}%, spin-power {:.1}%",
+        "{} {}c base: {} cycles, {} committed, mean power {:.0} (budget {:.0}), over-budget {:.0}%, spin-power {:.1}%",
         bench,
         cores,
         base.cycles,
         base.committed(),
-        dt.as_secs_f64(),
-        base.cycles as f64 / dt.as_secs_f64() / 1e6,
         base.mean_power,
         base.budget.global,
         base.over_budget_frac() * 100.0,
         base.spin_power_frac() * 100.0,
     );
-    for mech in [
+    let mechs = [
         MechanismKind::Dvfs,
         MechanismKind::Dfs,
         MechanismKind::TwoLevel,
@@ -56,14 +58,18 @@ fn main() {
             policy: PtbPolicy::ToAll,
             relax: 0.2,
         },
-    ] {
-        let r = runner.run_one(Job::new(bench, mech, cores));
+    ];
+    let sweep = runner.sweep(&mechs.map(|mech| runner.job(bench, mech, cores)));
+    for (i, mech) in mechs.iter().enumerate() {
+        let Some(r) = sweep.get(i) else {
+            continue; // quarantined under --keep-going
+        };
         println!(
             "  {:<24} energy {:+6.1}%  AoPB {:6.1}%  slowdown {:+6.1}%  stddev {:.0}",
             mech.label(),
-            normalized_energy_pct(&base, &r),
-            normalized_aopb_pct(&base, &r),
-            slowdown_pct(&base, &r),
+            normalized_energy_pct(base, r),
+            normalized_aopb_pct(base, r),
+            slowdown_pct(base, r),
             r.power_stddev,
         );
     }

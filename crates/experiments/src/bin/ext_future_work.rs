@@ -7,10 +7,13 @@
 //!    of 16 cores to scale past the paper's 16-core evaluations.
 //! 3. *Temperature stability* (conclusions): the lumped-RC thermal model's
 //!    view of each mechanism.
+//! 4. *Ablation* (DESIGN.md §4): PTB+2-level accuracy against the
+//!    balancer round-trip latency, the wire width and the distribution
+//!    policy (waternsq, 4 cores).
 
 use ptb_core::report::{normalized_aopb_pct, normalized_energy_pct, slowdown_pct};
-use ptb_core::{MechanismKind, PtbPolicy, SimConfig, Simulation};
-use ptb_experiments::{emit, emit_partial, Job, ObsArgs, Runner};
+use ptb_core::{MechanismKind, PtbPolicy};
+use ptb_experiments::{emit_partial, ObsArgs, Runner};
 use ptb_metrics::{mean, Table};
 use ptb_workloads::Benchmark;
 
@@ -19,6 +22,7 @@ fn main() {
     let obs = ObsArgs::parse(&mut args);
     let runner = Runner::from_env_args(&mut args);
     let n = runner.default_cores();
+    let ptb_mech = |policy| MechanismKind::PtbTwoLevel { policy, relax: 0.0 };
 
     // ---- 1. Spin gating on the contended benchmarks -------------------
     let contended = [
@@ -29,16 +33,9 @@ fn main() {
     ];
     let mut jobs = Vec::new();
     for bench in contended {
-        jobs.push(Job::new(bench, MechanismKind::None, n));
-        jobs.push(Job::new(
-            bench,
-            MechanismKind::PtbTwoLevel {
-                policy: PtbPolicy::Dynamic,
-                relax: 0.0,
-            },
-            n,
-        ));
-        jobs.push(Job::new(
+        jobs.push(runner.job(bench, MechanismKind::None, n));
+        jobs.push(runner.job(bench, ptb_mech(PtbPolicy::Dynamic), n));
+        jobs.push(runner.job(
             bench,
             MechanismKind::PtbSpinGate {
                 policy: PtbPolicy::Dynamic,
@@ -82,66 +79,100 @@ fn main() {
     emit_partial(&runner, "ext_spin_gate", &gate, &sweep.dropped_labels());
 
     // ---- 2. Clustered balancer at 32 cores ----------------------------
-    let bench = Benchmark::Watersp;
+    let clusters = [
+        ("monolithic (14-cyc wires)", None),
+        ("2 x 16-core clusters", Some(16)),
+        ("4 x 8-core clusters", Some(8)),
+    ];
+    let mut jobs = vec![runner.job(Benchmark::Watersp, MechanismKind::None, 32)];
+    for (_, cluster) in clusters {
+        let mut job = runner.job(Benchmark::Watersp, ptb_mech(PtbPolicy::ToAll), 32);
+        job.config.ptb.cluster_size = cluster;
+        jobs.push(job);
+    }
+    let sweep = obs.run_sweep(&runner, &jobs);
     let mut cluster_table = Table::new(
         "Extension: clustered balancers on a 32-core CMP (watersp)",
         &["config", "energy%", "AoPB%", "slowdown%"],
     );
-    let run32 = |cluster: Option<usize>, mech: MechanismKind| {
-        let mut cfg = SimConfig {
-            n_cores: 32,
-            scale: runner.scale,
-            mechanism: mech,
-            ..SimConfig::default()
-        };
-        cfg.ptb.cluster_size = cluster;
-        Simulation::new(cfg).run(bench).expect("32-core run")
-    };
-    let base32 = run32(None, MechanismKind::None);
-    for (label, cluster) in [
-        ("monolithic (14-cyc wires)", None),
-        ("2 x 16-core clusters", Some(16)),
-        ("4 x 8-core clusters", Some(8)),
-    ] {
-        let r = run32(
-            cluster,
-            MechanismKind::PtbTwoLevel {
-                policy: PtbPolicy::ToAll,
-                relax: 0.0,
-            },
-        );
-        cluster_table.row_f(
-            label,
-            &[
-                normalized_energy_pct(&base32, &r),
-                normalized_aopb_pct(&base32, &r),
-                slowdown_pct(&base32, &r),
-            ],
-            1,
-        );
+    if let Some(base) = sweep.get(0) {
+        for (i, (label, _)) in clusters.iter().enumerate() {
+            let Some(r) = sweep.get(1 + i) else {
+                continue;
+            };
+            cluster_table.row_f(
+                label,
+                &[
+                    normalized_energy_pct(base, r),
+                    normalized_aopb_pct(base, r),
+                    slowdown_pct(base, r),
+                ],
+                1,
+            );
+        }
     }
-    emit(&runner, "ext_cluster32", &cluster_table);
+    emit_partial(
+        &runner,
+        "ext_cluster32",
+        &cluster_table,
+        &sweep.dropped_labels(),
+    );
 
     // ---- 3. Temperature stability --------------------------------------
+    let jobs = [
+        MechanismKind::None,
+        MechanismKind::Dvfs,
+        MechanismKind::TwoLevel,
+        ptb_mech(PtbPolicy::Dynamic),
+    ]
+    .map(|mech| runner.job(Benchmark::Barnes, mech, n));
+    let sweep = obs.run_sweep(&runner, &jobs);
     let mut temp = Table::new(
         format!("Extension: temperature under each mechanism ({n}-core barnes, lumped-RC model)"),
         &["mechanism", "mean degC", "max degC", "stddev degC"],
     );
-    for mech in [
-        MechanismKind::None,
-        MechanismKind::Dvfs,
-        MechanismKind::TwoLevel,
-        MechanismKind::PtbTwoLevel {
-            policy: PtbPolicy::Dynamic,
-            relax: 0.0,
-        },
-    ] {
-        let r = runner.run_one(Job::new(Benchmark::Barnes, mech, n));
+    for r in sweep.reports.iter().flatten() {
         temp.row_f(
-            &r.mechanism.clone(),
+            &r.mechanism,
             &[r.mean_temp_c, r.max_temp_c, r.temp_stddev_c],
             2,
         );
     }
-    emit(&runner, "ext_temperature", &temp);
+    emit_partial(&runner, "ext_temperature", &temp, &sweep.dropped_labels());
+
+    // ---- 4. Ablation: PTB's hardware parameters -------------------------
+    // Each point differs from the default 4-core config only in its
+    // mechanism or in one `PtbConfig` field.
+    let point = |mech| runner.job(Benchmark::Waternsq, mech, 4);
+    let mut labels = Vec::new();
+    let mut jobs = vec![point(MechanismKind::None)];
+    for latency in [3u64, 10, 30] {
+        let mut job = point(ptb_mech(PtbPolicy::ToAll));
+        job.config.ptb.latency_override = Some(latency);
+        labels.push(format!("latency {latency} cycles"));
+        jobs.push(job);
+    }
+    for bits in [2u32, 4, 8] {
+        let mut job = point(ptb_mech(PtbPolicy::ToAll));
+        job.config.ptb.wire_bits = bits;
+        labels.push(format!("{bits}-bit wires"));
+        jobs.push(job);
+    }
+    for policy in [PtbPolicy::ToAll, PtbPolicy::ToOne, PtbPolicy::Dynamic] {
+        labels.push(format!("policy {}", policy.label()));
+        jobs.push(point(ptb_mech(policy)));
+    }
+    let sweep = obs.run_sweep(&runner, &jobs);
+    let mut ablation = Table::new(
+        "Extension: PTB+2level AoPB vs hardware parameters (4-core waternsq)",
+        &["parameter", "AoPB%"],
+    );
+    if let Some(base) = sweep.get(0) {
+        for (i, label) in labels.iter().enumerate() {
+            if let Some(r) = sweep.get(1 + i) {
+                ablation.row_f(label, &[normalized_aopb_pct(base, r)], 1);
+            }
+        }
+    }
+    emit_partial(&runner, "ext_ablation", &ablation, &sweep.dropped_labels());
 }

@@ -8,7 +8,7 @@
 //! unit — the motivation for PTB.
 
 use ptb_core::MechanismKind;
-use ptb_experiments::{emit_partial, Job, ObsArgs, Runner};
+use ptb_experiments::{emit_partial, ObsArgs, Runner};
 use ptb_metrics::{mean, Table};
 use ptb_workloads::Benchmark;
 
@@ -25,9 +25,9 @@ fn main() {
 
     let mut jobs = Vec::new();
     for bench in Benchmark::ALL {
-        jobs.push(Job::new(bench, MechanismKind::None, n));
+        jobs.push(runner.job(bench, MechanismKind::None, n));
         for m in mechs {
-            jobs.push(Job::new(bench, m, n));
+            jobs.push(runner.job(bench, m, n));
         }
     }
     let sweep = obs.run_sweep(&runner, &jobs);

@@ -7,7 +7,7 @@
 //! cholesky/blackscholes/swaptions/x264 show almost no contention.
 
 use ptb_core::MechanismKind;
-use ptb_experiments::{emit_partial, Job, ObsArgs, Runner};
+use ptb_experiments::{emit_partial, ObsArgs, Runner};
 use ptb_metrics::Table;
 use ptb_workloads::Benchmark;
 
@@ -20,7 +20,7 @@ fn main() {
     let mut jobs = Vec::new();
     for bench in Benchmark::ALL {
         for n in CORE_COUNTS {
-            jobs.push(Job::new(bench, MechanismKind::None, n));
+            jobs.push(runner.job(bench, MechanismKind::None, n));
         }
     }
     let sweep = obs.run_sweep(&runner, &jobs);

@@ -8,7 +8,7 @@
 
 use ptb_core::report::{normalized_aopb_pct, normalized_energy_pct};
 use ptb_core::{MechanismKind, PtbPolicy};
-use ptb_experiments::{emit_partial, Job, ObsArgs, Runner};
+use ptb_experiments::{emit_partial, job_index, ObsArgs, Runner};
 use ptb_metrics::{mean, Table};
 use ptb_workloads::Benchmark;
 
@@ -29,30 +29,26 @@ fn main() {
 
     // Jobs: per policy page, per core count, per benchmark, baseline + 4
     // mechanisms. Baselines and non-PTB mechanisms are shared between the
-    // two pages; dedup via a simple cache keyed by (bench, mech, cores).
-    let mut jobs: Vec<Job> = Vec::new();
-    let push = |j: Job, jobs: &mut Vec<Job>| {
-        if !jobs.contains(&j) {
-            jobs.push(j);
+    // two pages, so each (bench, mech, cores) point is queued once.
+    let mut jobs = Vec::new();
+    let mut push = |bench, mech, n| {
+        if job_index(&jobs, bench, mech, n).is_none() {
+            jobs.push(runner.job(bench, mech, n));
         }
     };
     for policy in [PtbPolicy::ToOne, PtbPolicy::ToAll] {
         for n in CORE_COUNTS {
             for bench in Benchmark::ALL {
-                push(Job::new(bench, MechanismKind::None, n), &mut jobs);
+                push(bench, MechanismKind::None, n);
                 for m in mechs(policy) {
-                    push(Job::new(bench, m, n), &mut jobs);
+                    push(bench, m, n);
                 }
             }
         }
     }
     let sweep = obs.run_sweep(&runner, &jobs);
     let find = |bench: Benchmark, mech: MechanismKind, n: usize| -> Option<&ptb_core::RunReport> {
-        let idx = jobs
-            .iter()
-            .position(|j| j.bench == bench && j.mech == mech && j.n_cores == n)
-            .expect("job exists");
-        sweep.get(idx)
+        sweep.get(job_index(&jobs, bench, mech, n).expect("job exists"))
     };
 
     let mut energy = Table::new(

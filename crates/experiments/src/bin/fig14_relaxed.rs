@@ -9,7 +9,7 @@
 
 use ptb_core::report::{normalized_aopb_pct, normalized_energy_pct};
 use ptb_core::{MechanismKind, PtbPolicy};
-use ptb_experiments::{emit_partial, Job, ObsArgs, Runner};
+use ptb_experiments::{emit_partial, job_index, ObsArgs, Runner};
 use ptb_metrics::{mean, Table};
 use ptb_workloads::Benchmark;
 
@@ -20,33 +20,26 @@ fn main() {
     let mut args: Vec<String> = std::env::args().collect();
     let obs = ObsArgs::parse(&mut args);
     let runner = Runner::from_env_args(&mut args);
-    let mut jobs: Vec<Job> = Vec::new();
-    let push = |j: Job, jobs: &mut Vec<Job>| {
-        if !jobs.contains(&j) {
-            jobs.push(j);
+    let mut jobs = Vec::new();
+    let mut push = |bench, mech, n| {
+        if job_index(&jobs, bench, mech, n).is_none() {
+            jobs.push(runner.job(bench, mech, n));
         }
     };
     for n in CORE_COUNTS {
         for bench in Benchmark::ALL {
-            push(Job::new(bench, MechanismKind::None, n), &mut jobs);
-            push(Job::new(bench, MechanismKind::Dvfs, n), &mut jobs);
+            push(bench, MechanismKind::None, n);
+            push(bench, MechanismKind::Dvfs, n);
             for policy in [PtbPolicy::ToOne, PtbPolicy::ToAll] {
                 for relax in RELAX {
-                    push(
-                        Job::new(bench, MechanismKind::PtbTwoLevel { policy, relax }, n),
-                        &mut jobs,
-                    );
+                    push(bench, MechanismKind::PtbTwoLevel { policy, relax }, n);
                 }
             }
         }
     }
     let sweep = obs.run_sweep(&runner, &jobs);
     let find = |bench: Benchmark, mech: MechanismKind, n: usize| -> Option<&ptb_core::RunReport> {
-        let idx = jobs
-            .iter()
-            .position(|j| j.bench == bench && j.mech == mech && j.n_cores == n)
-            .expect("job exists");
-        sweep.get(idx)
+        sweep.get(job_index(&jobs, bench, mech, n).expect("job exists"))
     };
 
     let mut energy = Table::new(

@@ -10,7 +10,15 @@
 //!
 //! ```text
 //! SIM_THROUGHPUT: 12.34 Mcycles/s, 5.67 host-MIPS (8.90s wall, 42 runs)
+//! OBS_INERT_OVERHEAD: +0.8% (null 394.8 ms, inert 398.0 ms; fft/16c test scale, median of 3)
 //! ```
+//!
+//! The second line checks the observability layer's zero-cost claim: one
+//! quick-matrix point, timed median-of-N with `NullObserver` (every hook
+//! site compiled out) and with an `ENABLED` observer whose hooks are all
+//! empty (hook sites live, nothing listening). The two should agree
+//! within noise. The line is reported, not gated, and the point stays
+//! out of the matrix, the json and its config digest.
 //!
 //! Flags:
 //! * `--quick` — CI matrix: 14 workloads × 16 cores, test scale;
@@ -35,8 +43,10 @@ use ptb_core::{MechanismKind, SimConfig, Simulation};
 use ptb_experiments::ObsArgs;
 use ptb_farm::hash;
 use ptb_metrics::{median, Table};
+use ptb_obs::SimObserver;
 use ptb_workloads::{Benchmark, Scale};
 use serde::{json, Map, Value};
+use std::hint::black_box;
 use std::time::Instant;
 
 #[cfg(feature = "alloc-telemetry")]
@@ -189,6 +199,45 @@ fn measure(bench: Benchmark, n_cores: usize, scale: Scale, median_of: usize) -> 
         #[cfg(feature = "alloc-telemetry")]
         alloc_bytes_per_kilocycle: alloc_delta.bytes_per_kilocycle(cycles),
     }
+}
+
+/// `ENABLED` observer whose hooks all keep their empty defaults (and
+/// `wants_phase_timing` its `false`): the cost of the hook sites alone.
+struct InertObserver;
+
+impl SimObserver for InertObserver {}
+
+/// The quick-matrix point timed for `OBS_INERT_OVERHEAD:`.
+const INERT_POINT: (Benchmark, usize) = (Benchmark::Fft, 16);
+
+/// Median wall seconds of [`INERT_POINT`] at test scale run through
+/// `NullObserver` and through [`InertObserver`], `median_of` runs each,
+/// alternated so host drift hits both alike.
+fn inert_overhead(median_of: usize) -> (f64, f64) {
+    let (bench, n_cores) = INERT_POINT;
+    let sim = Simulation::new(SimConfig {
+        n_cores,
+        scale: Scale::Test,
+        mechanism: MechanismKind::None,
+        ..SimConfig::default()
+    });
+    let fail = |e| -> ! {
+        eprintln!("error: {}/{n_cores}c failed: {e}", bench.name());
+        std::process::exit(1);
+    };
+    let (mut null, mut inert) = (Vec::new(), Vec::new());
+    for _ in 0..median_of {
+        let t0 = Instant::now();
+        black_box(sim.run(bench).unwrap_or_else(|e| fail(e)));
+        null.push(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        black_box(
+            sim.run_observed(bench, &mut InertObserver)
+                .unwrap_or_else(|e| fail(e)),
+        );
+        inert.push(t0.elapsed().as_secs_f64());
+    }
+    (median(&null), median(&inert))
 }
 
 /// Current commit hash, best-effort (no git invocation: read
@@ -463,6 +512,16 @@ fn main() {
         total_committed as f64 / total_wall.max(1e-9) / 1e6,
         total_wall,
         points.len()
+    );
+    let (null_s, inert_s) = inert_overhead(opts.median_of);
+    println!(
+        "OBS_INERT_OVERHEAD: {:+.1}% (null {:.1} ms, inert {:.1} ms; {}/{}c test scale, median of {})",
+        100.0 * (inert_s - null_s) / null_s.max(1e-9),
+        null_s * 1e3,
+        inert_s * 1e3,
+        INERT_POINT.0.name(),
+        INERT_POINT.1,
+        opts.median_of
     );
 
     if let Some(baseline) = &opts.check {

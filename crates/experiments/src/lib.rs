@@ -1,10 +1,11 @@
 //! # ptb-experiments — figure/table regeneration harness
 //!
 //! One binary per paper artefact (see `DESIGN.md` §4 for the index). All
-//! binaries share this library: a thread-parallel sweep [`Runner`] that
-//! executes independent simulations across worker threads, plus output
-//! helpers that print the paper's rows/series as aligned text and drop a
-//! CSV next to it.
+//! binaries share this library: a sweep [`Runner`] that builds each
+//! figure point as a [`FarmJob`] ([`Runner::job`]) and runs a batch of
+//! them through the `ptb-farm` store and executor ([`Runner::sweep`]),
+//! plus output helpers that print the paper's rows/series as aligned
+//! text and drop a CSV next to it.
 //!
 //! Environment knobs (all optional):
 //! * `PTB_SCALE` — `test` | `small` (default) | `large`;
@@ -12,11 +13,15 @@
 //!   `0` is rejected);
 //! * `PTB_OUT` — output directory for `.txt`/`.csv` artefacts
 //!   (default `target/figures`);
-//! * `PTB_CORES` — override the core count of single-core-count figures;
+//! * `PTB_CORES` — override the core count of single-core-count figures
+//!   (`1..=64`; a value outside it is rejected, an unparsable one warns
+//!   and gives 16);
 //! * `PTB_FARM_DIR` — `ptb-farm` result store location (default
 //!   `target/farm`); previously simulated points load from it instead
 //!   of re-simulating, so re-running figure binaries is incremental;
-//! * `PTB_NO_CACHE` — set to disable the farm entirely.
+//! * `PTB_NO_CACHE` — set to disable the farm entirely;
+//! * `PTB_KEEP_GOING` — `1` is `--keep-going`, `0` `--fail-fast`;
+//! * `PTB_JOB_TIMEOUT` — the `--job-timeout` watchdog, in seconds.
 //!
 //! Every binary also accepts `--no-cache` and `--farm-dir PATH` flags
 //! (see [`Runner::from_env_args`]) and the `farm_ctl` binary inspects,
@@ -29,12 +34,25 @@ pub mod obs;
 pub mod runner;
 
 pub use obs::ObsArgs;
-pub use runner::{emit, emit_partial, Job, Runner, Sweep};
+pub use runner::{cores_or_exit, emit, emit_partial, Runner, Sweep};
 
 use ptb_core::report::{normalized_aopb_pct, normalized_energy_pct, slowdown_pct};
 use ptb_core::{MechanismKind, PtbPolicy};
+use ptb_farm::FarmJob;
 use ptb_metrics::{mean, Table};
 use ptb_workloads::Benchmark;
+
+/// Slot of the job in `jobs` that runs `bench` under `mech` on
+/// `n_cores` cores, for figures that look their points up by name.
+pub fn job_index(
+    jobs: &[FarmJob],
+    bench: Benchmark,
+    mech: MechanismKind,
+    n_cores: usize,
+) -> Option<usize> {
+    jobs.iter()
+        .position(|j| j.bench == bench && j.config.mechanism == mech && j.config.n_cores == n_cores)
+}
 
 /// The paper's evaluated mechanism set for 16-core detail figures.
 pub fn detail_mechanisms(ptb: MechanismKind) -> Vec<MechanismKind> {
@@ -63,15 +81,15 @@ pub fn detail_figure(
     relax: f64,
     stem: &str,
     figure_label: &str,
-) -> (Vec<Job>, Sweep) {
+) -> (Vec<FarmJob>, Sweep) {
     let n = runner.default_cores();
     let ptb = MechanismKind::PtbTwoLevel { policy, relax };
     let mechs = detail_mechanisms(ptb);
     let mut jobs = Vec::new();
     for bench in Benchmark::ALL {
-        jobs.push(Job::new(bench, MechanismKind::None, n));
+        jobs.push(runner.job(bench, MechanismKind::None, n));
         for &m in &mechs {
-            jobs.push(Job::new(bench, m, n));
+            jobs.push(runner.job(bench, m, n));
         }
     }
     let sweep = obs.run_sweep(runner, &jobs);
@@ -132,7 +150,7 @@ pub fn detail_figure(
 /// Figure 13 companion: per-benchmark performance slowdown table from the
 /// sweep produced by [`detail_figure`]. Incomplete benches are skipped,
 /// matching the energy/AoPB tables.
-pub fn slowdown_table(jobs: &[Job], sweep: &Sweep, title: &str) -> Table {
+pub fn slowdown_table(jobs: &[FarmJob], sweep: &Sweep, title: &str) -> Table {
     let mechs_per_bench = 5; // baseline + 4 mechanisms
     let mut table = Table::new(title, &["bench", "DVFS", "DFS", "2level", "PTB+2level"]);
     let mut cols = vec![Vec::new(); 4];

@@ -15,8 +15,9 @@
 //! With none of the flags given, runs go through [`ptb_obs::NullObserver`]
 //! and pay no observability cost at all.
 
-use crate::runner::{Job, Runner, Sweep};
-use ptb_core::RunReport;
+use crate::runner::{Runner, Sweep};
+use ptb_core::Simulation;
+use ptb_farm::FarmJob;
 use ptb_metrics::Table;
 use ptb_obs::ObsStack;
 use std::path::PathBuf;
@@ -111,21 +112,6 @@ impl ObsArgs {
         s
     }
 
-    /// Run `job` under these flags: unobserved (zero-cost) when no flag
-    /// is set, otherwise through the configured [`ObsStack`] with
-    /// artefacts written and counters merged into the report's
-    /// `extra_metrics`.
-    pub fn run_one(&self, runner: &Runner, job: Job) -> RunReport {
-        if !self.enabled() {
-            return runner.run_one(job);
-        }
-        let mut stack = self.stack();
-        let mut report = runner.run_one_observed(job, &mut stack);
-        stack.merge_extra_metrics(&mut report.extra_metrics);
-        self.finish(&stack);
-        report
-    }
-
     /// Run a whole sweep under these flags.
     ///
     /// With no flag set this is exactly [`Runner::sweep`] — parallel,
@@ -135,14 +121,16 @@ impl ObsArgs {
     /// nothing), failing fast on the first error: counters accumulate
     /// across the whole sweep, the trace ring covers its tail, and each
     /// report's `extra_metrics` carries the stack state as of that run.
-    pub fn run_sweep(&self, runner: &Runner, jobs: &[Job]) -> Sweep {
+    pub fn run_sweep(&self, runner: &Runner, jobs: &[FarmJob]) -> Sweep {
         if !self.enabled() {
             return runner.sweep(jobs);
         }
         let mut stack = self.stack();
         let mut reports = Vec::with_capacity(jobs.len());
         for job in jobs {
-            let mut report = runner.run_one_observed(*job, &mut stack);
+            let mut report = Simulation::new(job.config.clone())
+                .run_observed(job.bench, &mut stack)
+                .unwrap_or_else(|e| panic!("{} failed: {e}", job.label()));
             stack.merge_extra_metrics(&mut report.extra_metrics);
             reports.push(Some(report));
         }
@@ -155,7 +143,7 @@ impl ObsArgs {
 
     /// Write the artefacts and print the summaries a populated stack
     /// carries. Exposed for binaries that drive the stack by hand
-    /// instead of through [`ObsArgs::run_one`].
+    /// instead of through [`ObsArgs::run_sweep`].
     pub fn finish(&self, stack: &ObsStack) {
         if let (Some(path), Some(rec)) = (&self.trace_out, &stack.recorder) {
             match std::fs::write(path, rec.chrome_trace_json()) {

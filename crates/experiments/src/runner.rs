@@ -7,38 +7,13 @@
 //! `PTB_NO_CACHE=1` (or pass `--no-cache`) to simulate every point on
 //! the same executor without the store.
 
-use ptb_core::{MechanismKind, RunReport, SimConfig, Simulation};
+use ptb_core::{MechanismKind, RunReport, SimConfig, MAX_CORES};
 use ptb_farm::{exec, ExecConfig, Farm, FarmJob, JobError, Quarantine};
 use ptb_metrics::Table;
 use ptb_workloads::{Benchmark, Scale};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-/// One simulation to run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Job {
-    /// Benchmark.
-    pub bench: Benchmark,
-    /// Mechanism.
-    pub mech: MechanismKind,
-    /// Core count.
-    pub n_cores: usize,
-    /// Capture a power trace?
-    pub trace: bool,
-}
-
-impl Job {
-    /// A plain job with no trace.
-    pub fn new(bench: Benchmark, mech: MechanismKind, n_cores: usize) -> Self {
-        Job {
-            bench,
-            mech,
-            n_cores,
-            trace: false,
-        }
-    }
-}
 
 /// Thread-parallel simulation sweep runner.
 pub struct Runner {
@@ -92,12 +67,76 @@ fn parse_jobs(raw: Option<&str>) -> Result<Option<usize>, Option<String>> {
     }
 }
 
+/// Core count of single-core-count figures when `PTB_CORES` is unset.
+const DEFAULT_CORES: usize = 16;
+
+/// Parse a core count (`PTB_CORES`, or a binary's core-count argument,
+/// called `name` in messages) the way [`parse_jobs`] parses `PTB_JOBS`.
+/// `Err(None)` means the value was rejected outright (outside
+/// `1..=MAX_CORES`); `Err(Some(_))` carries a warning and the caller
+/// should fall back to 16.
+fn parse_cores(name: &str, raw: Option<&str>) -> Result<usize, Option<String>> {
+    match raw {
+        None => Ok(DEFAULT_CORES),
+        Some(s) => match s.parse::<usize>() {
+            Ok(n) if (1..=MAX_CORES).contains(&n) => Ok(n),
+            Ok(_) => Err(None),
+            Err(_) => Err(Some(format!(
+                "unparsable {name}={s:?}; using {DEFAULT_CORES}"
+            ))),
+        },
+    }
+}
+
+/// A core count from `raw` (see [`parse_cores`]): 16 when absent, a
+/// warning and 16 when unparsable, and process exit 2 when outside
+/// `1..=MAX_CORES`.
+pub fn cores_or_exit(name: &str, raw: Option<&str>) -> usize {
+    match parse_cores(name, raw) {
+        Ok(n) => n,
+        Err(None) => {
+            eprintln!(
+                "error: {name} must be between 1 and {MAX_CORES}, got {}",
+                raw.unwrap_or_default()
+            );
+            std::process::exit(2);
+        }
+        Err(Some(warning)) => {
+            eprintln!("warning: {warning}");
+            DEFAULT_CORES
+        }
+    }
+}
+
+/// Parse a per-job timeout (`--job-timeout` or `PTB_JOB_TIMEOUT`): a
+/// positive number of seconds. `None` rejects the value.
+fn parse_timeout(raw: &str) -> Option<Duration> {
+    raw.parse::<f64>()
+        .ok()
+        .filter(|s| *s > 0.0)
+        .and_then(|s| Duration::try_from_secs_f64(s).ok())
+}
+
+/// Parse a `PTB_KEEP_GOING` value: `0` or `1`, like `--fail-fast` and
+/// `--keep-going`. `Err` carries a warning for anything else, and the
+/// caller keeps the fail-fast default.
+fn parse_keep_going(raw: Option<&str>) -> Result<bool, String> {
+    match raw {
+        None | Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(other) => Err(format!(
+            "unparsable PTB_KEEP_GOING={other:?} (expected 0 or 1); failing fast"
+        )),
+    }
+}
+
 impl Runner {
     /// Configure from the environment (see crate docs).
     ///
-    /// `PTB_JOBS=0` is rejected (process exit 2); unparsable
-    /// `PTB_SCALE`/`PTB_JOBS` values warn on stderr and fall back to
-    /// their defaults instead of being silently ignored.
+    /// `PTB_JOBS=0` and a `PTB_JOB_TIMEOUT` that is not a positive
+    /// number of seconds are rejected (process exit 2); unparsable
+    /// `PTB_SCALE`/`PTB_JOBS`/`PTB_KEEP_GOING` values warn on stderr and
+    /// fall back to their defaults instead of being silently ignored.
     pub fn from_env() -> Self {
         let scale_var = std::env::var("PTB_SCALE").ok();
         let scale = parse_scale(scale_var.as_deref()).unwrap_or_else(|warning| {
@@ -125,14 +164,19 @@ impl Runner {
         let out_dir = std::env::var("PTB_OUT")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("target/figures"));
-        let keep_going = std::env::var("PTB_KEEP_GOING")
-            .map(|v| v != "0")
-            .unwrap_or(false);
-        let job_timeout = std::env::var("PTB_JOB_TIMEOUT")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|s| *s > 0.0)
-            .map(Duration::from_secs_f64);
+        let keep_going_var = std::env::var("PTB_KEEP_GOING").ok();
+        let keep_going = parse_keep_going(keep_going_var.as_deref()).unwrap_or_else(|warning| {
+            eprintln!("warning: {warning}");
+            false
+        });
+        let job_timeout = std::env::var("PTB_JOB_TIMEOUT").ok().map(|raw| {
+            parse_timeout(&raw).unwrap_or_else(|| {
+                eprintln!(
+                    "error: PTB_JOB_TIMEOUT requires a positive number of seconds, got {raw:?}"
+                );
+                std::process::exit(2);
+            })
+        });
         Runner {
             scale,
             jobs,
@@ -195,9 +239,9 @@ impl Runner {
                 "--job-timeout" => {
                     argv.remove(i);
                     let raw = take_value(argv, i);
-                    match raw.parse::<f64>() {
-                        Ok(s) if s > 0.0 => job_timeout = Some(Duration::from_secs_f64(s)),
-                        _ => {
+                    match parse_timeout(&raw) {
+                        Some(timeout) => job_timeout = Some(timeout),
+                        None => {
                             eprintln!("error: --job-timeout requires a positive number of seconds");
                             std::process::exit(2);
                         }
@@ -231,56 +275,24 @@ impl Runner {
     }
 
     /// Core count for single-core-count figures (paper: 16), overridable
-    /// with `PTB_CORES`.
+    /// with `PTB_CORES` (see [`cores_or_exit`]).
     pub fn default_cores(&self) -> usize {
-        std::env::var("PTB_CORES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(16)
+        cores_or_exit("PTB_CORES", std::env::var("PTB_CORES").ok().as_deref())
     }
 
-    fn config(&self, job: &Job) -> SimConfig {
-        SimConfig {
-            n_cores: job.n_cores,
-            scale: self.scale,
-            mechanism: job.mech,
-            capture_trace: job.trace,
-            ..SimConfig::default()
-        }
-    }
-
-    fn farm_job(&self, job: &Job) -> FarmJob {
-        FarmJob::new(job.bench, self.config(job))
-    }
-
-    /// Run one job synchronously (served from the farm when possible).
-    pub fn run_one(&self, job: Job) -> RunReport {
-        if let Some(farm) = &self.farm {
-            return farm
-                .run_batch(std::slice::from_ref(&self.farm_job(&job)), 1)
-                .pop()
-                .expect("one job in, one report out");
-        }
-        self.run_one_observed(job, &mut ptb_obs::NullObserver)
-    }
-
-    /// Run one job synchronously, streaming simulation events to `obs`
-    /// (see [`ptb_obs::SimObserver`]).
-    ///
-    /// Observed runs always simulate live — they neither read nor write
-    /// the farm store, so a cached result can never short-circuit the
-    /// event stream the observer was attached for.
-    pub fn run_one_observed<O: ptb_obs::SimObserver>(&self, job: Job, obs: &mut O) -> RunReport {
-        Simulation::new(self.config(&job))
-            .run_observed(job.bench, obs)
-            .unwrap_or_else(|e| {
-                panic!(
-                    "{} / {} / {} cores failed: {e}",
-                    job.bench,
-                    job.mech.label(),
-                    job.n_cores
-                )
-            })
+    /// The figure point `bench` under `mech` on `n_cores` cores, at the
+    /// runner's scale with every other config field at its default.
+    /// A point that varies another field sets it on the returned job.
+    pub fn job(&self, bench: Benchmark, mech: MechanismKind, n_cores: usize) -> FarmJob {
+        FarmJob::new(
+            bench,
+            SimConfig {
+                n_cores,
+                scale: self.scale,
+                mechanism: mech,
+                ..SimConfig::default()
+            },
+        )
     }
 
     /// Executor policy for failure-isolating sweeps.
@@ -304,14 +316,13 @@ impl Runner {
     /// process then exits with status 1; with `--keep-going` the
     /// partial [`Sweep`] is returned so callers can emit partial
     /// artefacts with a footer naming the dropped points.
-    pub fn sweep(&self, jobs: &[Job]) -> Sweep {
+    pub fn sweep(&self, jobs: &[FarmJob]) -> Sweep {
         if jobs.is_empty() {
             return Sweep::default();
         }
         let outcomes: Vec<Result<RunReport, JobError>> = if let Some(farm) = &self.farm {
-            let fjobs: Vec<FarmJob> = jobs.iter().map(|j| self.farm_job(j)).collect();
             let before = farm.stats();
-            let outcomes = farm.try_run_batch(&fjobs, &self.exec_config());
+            let outcomes = farm.try_run_batch(jobs, &self.exec_config());
             let batch = farm.stats().since(&before);
             eprintln!(
                 "[farm] {} (store {})",
@@ -320,19 +331,19 @@ impl Runner {
             );
             outcomes
         } else {
-            exec::run_work_stealing(jobs.to_vec(), &self.exec_config(), |job, ctx| {
-                self.farm_job(job).try_simulate(ctx.deadline)
+            exec::run_work_stealing(jobs.iter().collect(), &self.exec_config(), |job, ctx| {
+                job.try_simulate(ctx.deadline)
             })
         };
 
         let mut reports = Vec::with_capacity(jobs.len());
-        let mut failures: Vec<(Job, JobError)> = Vec::new();
+        let mut failures: Vec<(FarmJob, JobError)> = Vec::new();
         for (job, outcome) in jobs.iter().zip(outcomes) {
             match outcome {
                 Ok(r) => reports.push(Some(r)),
                 Err(e) => {
                     reports.push(None);
-                    failures.push((*job, e));
+                    failures.push((job.clone(), e));
                 }
             }
         }
@@ -354,24 +365,23 @@ impl Runner {
     /// Append each unique failed job to the quarantine manifest and
     /// report where it went. Duplicated jobs (same content key) are
     /// quarantined once.
-    fn quarantine_failures(&self, failures: &[(Job, JobError)]) {
+    fn quarantine_failures(&self, failures: &[(FarmJob, JobError)]) {
         let quarantine = match &self.farm {
             Some(farm) => farm.quarantine(),
             None => Quarantine::in_dir(&self.out_dir),
         };
         let mut seen = HashSet::new();
         for (job, err) in failures {
-            let fjob = self.farm_job(job);
-            eprintln!("[sweep] FAILED {}: {err}", fjob.label());
-            if !seen.insert(fjob.key()) {
+            eprintln!("[sweep] FAILED {}: {err}", job.label());
+            if !seen.insert(job.key()) {
                 continue;
             }
             let res = match &self.farm {
-                Some(farm) => farm.quarantine_job(&fjob, err),
-                None => quarantine.record(&ptb_farm::QuarantineEntry::new(&fjob, err)),
+                Some(farm) => farm.quarantine_job(job, err),
+                None => quarantine.record(&ptb_farm::QuarantineEntry::new(job, err)),
             };
             if let Err(e) = res {
-                eprintln!("warning: cannot quarantine {}: {e}", fjob.label());
+                eprintln!("warning: cannot quarantine {}: {e}", job.label());
             }
         }
         eprintln!(
@@ -390,7 +400,7 @@ pub struct Sweep {
     /// One entry per submitted job; `None` marks a failed job.
     pub reports: Vec<Option<RunReport>>,
     /// The failed jobs and why, in job order.
-    pub failures: Vec<(Job, JobError)>,
+    pub failures: Vec<(FarmJob, JobError)>,
 }
 
 impl Sweep {
@@ -425,7 +435,10 @@ impl Sweep {
     pub fn dropped_labels(&self) -> Vec<String> {
         self.failures
             .iter()
-            .map(|(job, _)| format!("{}/{}/{}c", job.bench, job.mech.label(), job.n_cores))
+            .map(|(job, _)| {
+                let cfg = &job.config;
+                format!("{}/{}/{}c", job.bench, cfg.mechanism.label(), cfg.n_cores)
+            })
             .collect()
     }
 }
@@ -509,16 +522,16 @@ mod tests {
     fn parallel_results_match_serial() {
         let r = test_runner();
         let jobs = vec![
-            Job::new(Benchmark::Fft, MechanismKind::None, 2),
-            Job::new(Benchmark::Radix, MechanismKind::None, 2),
-            Job::new(Benchmark::Fft, MechanismKind::Dvfs, 2),
+            r.job(Benchmark::Fft, MechanismKind::None, 2),
+            r.job(Benchmark::Radix, MechanismKind::None, 2),
+            r.job(Benchmark::Fft, MechanismKind::Dvfs, 2),
         ];
         let swept = r.sweep(&jobs);
         assert!(swept.complete());
         let parallel = swept.expect_complete();
         for (job, rep) in jobs.iter().zip(&parallel) {
-            let serial = r.run_one(*job);
-            assert_eq!(serial.cycles, rep.cycles, "{:?}", job);
+            let serial = job.simulate();
+            assert_eq!(serial.cycles, rep.cycles, "{}", job.label());
             assert_eq!(serial.energy_tokens, rep.energy_tokens);
         }
     }
@@ -527,14 +540,13 @@ mod tests {
     fn farmed_runner_matches_uncached_and_hits_on_rerun() {
         let (r, dir) = farmed_runner("rerun");
         let jobs = vec![
-            Job::new(Benchmark::Fft, MechanismKind::None, 2),
-            Job::new(Benchmark::Fft, MechanismKind::Dvfs, 2),
+            r.job(Benchmark::Fft, MechanismKind::None, 2),
+            r.job(Benchmark::Fft, MechanismKind::Dvfs, 2),
         ];
         let cold = r.sweep(&jobs).expect_complete();
-        let uncached = test_runner();
         for (job, rep) in jobs.iter().zip(&cold) {
-            let direct = uncached.run_one(*job);
-            assert_eq!(direct.cycles, rep.cycles, "{job:?}");
+            let direct = job.simulate();
+            assert_eq!(direct.cycles, rep.cycles, "{}", job.label());
         }
         let warm = r.sweep(&jobs).expect_complete();
         let stats = r.farm.as_ref().unwrap().stats();
@@ -568,17 +580,69 @@ mod tests {
     }
 
     #[test]
+    fn cores_parsing_rejects_out_of_range_and_flags_garbage() {
+        let table = [
+            (None, Ok(16)),
+            (Some("1"), Ok(1)),
+            (Some("32"), Ok(32)),
+            (Some("64"), Ok(MAX_CORES)),
+            (Some("0"), Err(None)),
+            (Some("65"), Err(None)),
+        ];
+        for (raw, want) in table {
+            assert_eq!(parse_cores("PTB_CORES", raw), want, "{raw:?}");
+        }
+        for garbage in ["abc", "-4", "", "1e3"] {
+            match parse_cores("PTB_CORES", Some(garbage)) {
+                Err(Some(w)) => assert!(w.contains(&format!("PTB_CORES={garbage:?}")), "{w}"),
+                other => panic!("{garbage:?}: expected a warning, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn timeout_and_keep_going_parse_like_their_flags() {
+        let timeouts = [
+            ("10", Some(Duration::from_secs(10))),
+            ("0.5", Some(Duration::from_millis(500))),
+            ("10s", None),
+            ("0", None),
+            ("-3", None),
+            ("NaN", None),
+            ("inf", None),
+            ("", None),
+        ];
+        for (raw, want) in timeouts {
+            assert_eq!(parse_timeout(raw), want, "{raw:?}");
+        }
+        let keep_going = [
+            (None, Ok(false)),
+            (Some("0"), Ok(false)),
+            (Some("1"), Ok(true)),
+            (Some("false"), Err("\"false\"")),
+            (Some("true"), Err("\"true\"")),
+            (Some(""), Err("\"\"")),
+        ];
+        for (raw, want) in keep_going {
+            match (parse_keep_going(raw), want) {
+                (Ok(got), Ok(w)) => assert_eq!(got, w, "{raw:?}"),
+                (Err(warning), Err(quoted)) => assert!(warning.contains(quoted), "{warning}"),
+                (got, _) => panic!("{raw:?}: got {got:?}, want {want:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn sweep_matches_run_all_when_healthy() {
         // The failure-isolating sweep must agree with the fail-fast
         // run-everything path (`Farm::run_batch`) when nothing fails.
         let r = test_runner();
         let (farmed, dir) = farmed_runner("run-all");
         let jobs = vec![
-            Job::new(Benchmark::Fft, MechanismKind::None, 2),
-            Job::new(Benchmark::Radix, MechanismKind::None, 2),
+            r.job(Benchmark::Fft, MechanismKind::None, 2),
+            r.job(Benchmark::Radix, MechanismKind::None, 2),
         ];
-        let fjobs: Vec<FarmJob> = jobs.iter().map(|j| farmed.farm_job(j)).collect();
-        let all = farmed.farm.as_ref().unwrap().run_batch(&fjobs, 2);
+        let all = farmed.farm.as_ref().unwrap().run_batch(&jobs, 2);
         let swept = r.sweep(&jobs);
         assert!(swept.complete());
         assert!(swept.dropped_labels().is_empty());

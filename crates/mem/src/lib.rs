@@ -42,3 +42,7 @@ pub use cache::{CacheArray, CacheConfig};
 pub use coherence::{CohMsg, Envelope, Moesi};
 pub use stats::{CoreMemStats, MemActivity, MemStats};
 pub use system::{AccessKind, MemConfig, MemReq, MemResp, MemorySystem};
+
+/// Largest core count a [`MemorySystem`] supports: the directory tracks
+/// each line's sharers in one `u64` bit mask, one bit per core.
+pub const MAX_CORES: usize = 64;

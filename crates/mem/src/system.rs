@@ -203,7 +203,11 @@ impl MemorySystem {
     /// Build a memory system for `n_tiles` cores with the given config and
     /// a mesh sized by [`MeshConfig::for_cores`].
     pub fn new(cfg: MemConfig, n_tiles: usize) -> Self {
-        assert!((1..=64).contains(&n_tiles), "1..=64 tiles supported");
+        assert!(
+            (1..=crate::MAX_CORES).contains(&n_tiles),
+            "1..={} tiles supported",
+            crate::MAX_CORES
+        );
         let mesh = Mesh::new(MeshConfig::for_cores(n_tiles));
         let tiles = (0..n_tiles)
             .map(|_| Tile {

@@ -34,7 +34,7 @@
 use crate::fleet::{claim_response_value, CompleteOutcome, FailOutcome, FleetRefusal};
 use crate::http::{Request, Response};
 use crate::state::{JobRecord, JobState, RequestPhase, ServeState};
-use ptb_core::{RunReport, SimConfig};
+use ptb_core::{RunReport, SimConfig, MAX_CORES};
 use ptb_farm::{FarmJob, StoreLookup};
 use ptb_workloads::Benchmark;
 use serde::{json, Deserialize, Map, Serialize, Value};
@@ -43,11 +43,6 @@ use std::time::{Duration, Instant};
 
 /// Max jobs accepted in one `POST /v1/batches`.
 pub const MAX_BATCH_JOBS: usize = 1024;
-
-/// Largest `n_cores` a submitted job may ask for: twice the 32 cores
-/// the largest figure simulates. A job's workload spec, and the time to
-/// key it, grow linearly with its core count.
-pub const MAX_CORES: usize = 64;
 
 /// Route one parsed request. This is the function handed to
 /// [`crate::http::Server::spawn`]; it never panics a worker — handler
