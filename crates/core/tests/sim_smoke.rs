@@ -179,16 +179,26 @@ fn wrong_thread_count_is_rejected() {
 
 #[test]
 fn max_cycles_limit_is_enforced() {
-    let mut c = cfg(2, MechanismKind::None);
-    c.max_cycles = 500; // far too few to finish
-    let err = Simulation::new(c).run(Benchmark::Fft).unwrap_err();
-    match err {
-        ptb_core::sim::SimError::MaxCyclesExceeded { limit, unfinished } => {
-            assert_eq!(limit, 500);
-            assert!(!unfinished.is_empty());
+    let limited = |max_cycles| {
+        let c = SimConfig {
+            max_cycles,
+            ..cfg(2, MechanismKind::None)
+        };
+        match Simulation::new(c).run(Benchmark::Fft).unwrap_err() {
+            ptb_core::sim::SimError::MaxCyclesExceeded { limit, unfinished } => {
+                assert_eq!(limit, max_cycles);
+                unfinished
+            }
+            other => panic!("unexpected error: {other}"),
         }
-        other => panic!("unexpected error: {other}"),
-    }
+    };
+    // Far too few cycles: both cores are still running.
+    assert_eq!(limited(500), vec![0, 1]);
+    // One cycle short: only core 1, which finishes on the last cycle.
+    let full = Simulation::new(cfg(2, MechanismKind::None))
+        .run(Benchmark::Fft)
+        .expect("run");
+    assert_eq!(limited(full.cycles - 1), vec![1]);
 }
 
 #[test]

@@ -11,6 +11,9 @@
 //!                            # retry the quarantine manifest
 //! farm_ctl verify            # integrity-scan every entry, drop bad ones
 //! farm_ctl gc                # verify + compact the journal
+//! farm_ctl digests           # one `key digest` line per entry, sorted
+//!                            # by key (the FNV-128 of the report JSON,
+//!                            # as tests/report_digests.rs computes it)
 //! farm_ctl workers           # fleet view of a running ptb-serve
 //!                            # (--addr HOST:PORT, default
 //!                            # 127.0.0.1:7878): live workers and
@@ -25,8 +28,9 @@
 //! `ptb-obs` (plus `farm.chaos.*` under fault injection).
 
 use ptb_experiments::Runner;
+use ptb_farm::hash::digest_hex;
 use ptb_farm::ExecConfig;
-use serde::{json, Map, Value};
+use serde::{json, Map, Serialize, Value};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
@@ -175,8 +179,11 @@ fn main() {
             }
             print_counters(farm);
         }
+        "digests" => print_digests(farm),
         other => {
-            eprintln!("error: unknown subcommand {other:?} (status|resume|verify|gc|workers)");
+            eprintln!(
+                "error: unknown subcommand {other:?} (status|resume|verify|gc|digests|workers)"
+            );
             std::process::exit(2);
         }
     }
@@ -302,6 +309,31 @@ fn print_status_json(farm: &ptb_farm::Farm) {
     obj.insert("pending".into(), Value::U64(pending.len() as u64));
     obj.insert("quarantined".into(), Value::U64(quarantined.len() as u64));
     println!("{}", json::to_string(&Value::Object(obj)));
+}
+
+/// `digests`: one `key digest` line per store entry, sorted by key. A
+/// test-scale sweep's farm printed this way is diffed against
+/// `tests/goldens/sweep_digests.txt`, so every figure report is pinned
+/// bit-exact. Exits 1 on an entry that cannot be read.
+fn print_digests(farm: &ptb_farm::Farm) {
+    let keys = farm.store().keys().unwrap_or_else(|e| {
+        eprintln!("error: cannot list the store: {e}");
+        std::process::exit(1);
+    });
+    for key in keys {
+        match farm.store().read_entry(&key) {
+            Ok(Some((_, report))) => {
+                let digest = digest_hex(json::to_string(&report.to_value()).as_bytes());
+                println!("{key} {digest}");
+            }
+            // Removed between the listing and the read.
+            Ok(None) => {}
+            Err(e) => {
+                eprintln!("error: entry {key}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
 fn print_counters(farm: &ptb_farm::Farm) {

@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Regenerates every paper artefact. PTB_SCALE=small is the recorded scale.
 #
+# Each figure runs its points on PTB_JOBS worker threads (default: the
+# host's parallelism); the artefacts are the same byte for byte at any
+# PTB_JOBS.
+#
 # Runs are incremental: every simulated point is cached in the ptb-farm
 # result store (default target/farm; override with PTB_FARM_DIR, disable
 # with PTB_NO_CACHE=1), so a rerun only simulates points whose config
@@ -15,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-export PTB_SCALE="${PTB_SCALE:-small}" PTB_OUT="${PTB_OUT:-target/figures}" PTB_JOBS="${PTB_JOBS:-1}"
+export PTB_SCALE="${PTB_SCALE:-small}" PTB_OUT="${PTB_OUT:-target/figures}"
 FARM_DIR="${PTB_FARM_DIR:-target/farm}"
 B=./target/release
 

@@ -13,12 +13,13 @@
 
 use ptb_core::sim::SimError;
 use ptb_core::{MechanismKind, PtbPolicy, SimConfig, Simulation};
-use ptb_farm::{ChaosConfig, ChaosIo, ExecConfig, Farm, FarmIo, FarmJob};
+use ptb_farm::{ChaosConfig, ChaosIo, ExecConfig, Farm, FarmIo, FarmJob, JobFault};
 use ptb_isa::{BlockGenConfig, LockId};
 use ptb_workloads::{Benchmark, FlatStmt, LockKind, Scale, WorkloadSpec};
 use serde::{json, Serialize};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn job(bench: Benchmark, mech: MechanismKind, n_cores: usize) -> FarmJob {
     FarmJob::new(
@@ -278,4 +279,28 @@ fn livelock_watchdog_turns_deadlock_into_a_typed_error() {
         run().to_string(),
         "the watchdog fires at the same cycle every run"
     );
+}
+
+/// A wall-clock deadline that has already passed stops a run at the
+/// first check (cycle 8 192; the check runs every 8 192 cycles), and
+/// `FarmJob::try_simulate` files it as a timeout, not a fatal fault.
+#[test]
+fn past_deadline_stops_the_run_at_the_first_check_as_a_timeout() {
+    let job = job(Benchmark::Fft, MechanismKind::None, 2);
+    let spec = job.bench.spec(job.config.n_cores, job.config.scale);
+    let full = Simulation::new(job.config.clone())
+        .run_spec(&spec)
+        .expect("run");
+    assert!(full.cycles > 8_192, "the run must outlast the first check");
+    let past = Instant::now();
+    let err = Simulation::new(job.config.clone())
+        .with_deadline(past)
+        .run_spec(&spec)
+        .expect_err("the deadline has passed");
+    assert_eq!(err, SimError::DeadlineExceeded { cycles_done: 8_192 });
+    match job.try_simulate(Some(past)) {
+        Err(JobFault::Timeout(msg)) => assert!(msg.ends_with(&err.to_string()), "{msg}"),
+        Err(other) => panic!("expected a timeout fault, got {other:?}"),
+        Ok(_) => panic!("expected a timeout fault, got a report"),
+    }
 }
