@@ -311,10 +311,8 @@ fn print_status_json(farm: &ptb_farm::Farm) {
     println!("{}", json::to_string(&Value::Object(obj)));
 }
 
-/// `digests`: one `key digest` line per store entry, sorted by key. A
-/// test-scale sweep's farm printed this way is diffed against
-/// `tests/goldens/sweep_digests.txt`, so every figure report is pinned
-/// bit-exact. Exits 1 on an entry that cannot be read.
+/// `digests`: one `key digest` line per store entry, sorted by key, for
+/// a diff against `tests/goldens/sweep_digests.txt`.
 fn print_digests(farm: &ptb_farm::Farm) {
     let keys = farm.store().keys().unwrap_or_else(|e| {
         eprintln!("error: cannot list the store: {e}");

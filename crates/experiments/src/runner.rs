@@ -431,13 +431,16 @@ impl Sweep {
         (start..start + len).map(|i| self.get(i)).collect()
     }
 
-    /// Labels of the failed jobs (for partial-artefact footers).
+    /// Labels of the failed jobs (for partial-artefact footers): the
+    /// `bench/mech/Nc` point and the job key, which tells apart points
+    /// that differ only in config the point does not show.
     pub fn dropped_labels(&self) -> Vec<String> {
         self.failures
             .iter()
             .map(|(job, _)| {
                 let cfg = &job.config;
-                format!("{}/{}/{}c", job.bench, cfg.mechanism.label(), cfg.n_cores)
+                let point = format!("{}/{}/{}c", job.bench, cfg.mechanism.label(), cfg.n_cores);
+                format!("{point} {}", job.key())
             })
             .collect()
     }
@@ -692,6 +695,35 @@ mod tests {
         assert_eq!(entries[0].job.config.max_cycles, 1, "replayable config");
         assert_eq!(farm.stats().quarantined, 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dropped_labels_tell_apart_jobs_that_differ_only_in_ptb_config() {
+        let r = test_runner();
+        let mech = MechanismKind::PtbTwoLevel {
+            policy: ptb_core::PtbPolicy::ToAll,
+            relax: 0.0,
+        };
+        let a = r.job(Benchmark::Waternsq, mech, 4);
+        let mut b = a.clone();
+        b.config.ptb.wire_bits += 4;
+        let failed = |job: &FarmJob| {
+            let err = JobError::Failed {
+                message: "injected".into(),
+                attempts: 1,
+            };
+            (job.clone(), err)
+        };
+        let sweep = Sweep {
+            reports: vec![None, None],
+            failures: vec![failed(&a), failed(&b)],
+        };
+        let labels = sweep.dropped_labels();
+        assert_ne!(labels[0], labels[1], "{labels:?}");
+        assert_eq!(
+            labels[0],
+            format!("waternsq/{}/4c {}", mech.label(), a.key())
+        );
     }
 
     #[test]

@@ -219,7 +219,6 @@ struct Slot {
 /// start (taken until the caller stops asking).
 pub struct BlockGen {
     slots: Vec<Slot>,
-    table: [(f32, OpKind); 7],
     cfg: BlockGenConfig,
     pc_base: u64,
     pos: usize,
@@ -289,7 +288,6 @@ impl BlockGen {
         }
         BlockGen {
             slots,
-            table,
             cfg,
             pc_base,
             pos: 0,
@@ -399,12 +397,6 @@ impl BlockGen {
         }
         self.pos = (self.pos + 1) % self.slots.len();
         inst
-    }
-
-    /// Draw a kind from the mix (exposed for workload models that want
-    /// one-off filler instructions with the same profile).
-    pub fn sample_kind(&mut self) -> OpKind {
-        InstMix::sample(&self.table, &mut self.rng)
     }
 }
 

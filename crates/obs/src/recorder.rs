@@ -1,6 +1,6 @@
 //! Bounded event recording and Chrome `trace_event` export.
 
-use crate::{MemPulse, Phase, RunMeta, SimObserver, SpinKind, ThrottleObs};
+use crate::{Phase, RunMeta, SimObserver, SpinKind, ThrottleObs};
 use serde::{json, Deserialize, Map, Serialize, Value};
 use std::collections::VecDeque;
 
@@ -61,13 +61,6 @@ pub enum Event {
         /// Core index.
         core: usize,
     },
-    /// Memory-system activity for one cycle.
-    MemPulse {
-        /// Global cycle.
-        cycle: u64,
-        /// The deltas.
-        pulse: crate::MemPulse,
-    },
     /// Host nanoseconds per simulator phase, accumulated since the
     /// previous `PhaseTimes` event (indexed by [`Phase::index`]).
     PhaseTimes {
@@ -87,8 +80,7 @@ impl Event {
             | Event::ThrottleChange { cycle, .. }
             | Event::SpinEnter { cycle, .. }
             | Event::SpinExit { cycle, .. }
-            | Event::MemRetry { cycle, .. }
-            | Event::MemPulse { cycle, .. } => cycle,
+            | Event::MemRetry { cycle, .. } => cycle,
             Event::PhaseTimes { cycle, .. } => cycle,
         }
     }
@@ -108,7 +100,6 @@ pub struct EventRecorder {
     events: VecDeque<Event>,
     capacity: usize,
     sample_stride: u64,
-    record_pulses: bool,
     dropped: u64,
     end_cycle: u64,
     phase_acc: [u64; Phase::COUNT],
@@ -117,14 +108,13 @@ pub struct EventRecorder {
 
 impl EventRecorder {
     /// Recorder holding at most `capacity` events, sampling power every
-    /// 64 cycles, with memory pulses off.
+    /// 64 cycles.
     pub fn new(capacity: usize) -> Self {
         EventRecorder {
             meta: RunMeta::default(),
             events: VecDeque::with_capacity(capacity.min(1 << 20)),
             capacity: capacity.max(1),
             sample_stride: 64,
-            record_pulses: false,
             dropped: 0,
             end_cycle: 0,
             phase_acc: [0; Phase::COUNT],
@@ -148,12 +138,6 @@ impl EventRecorder {
     /// Set the power-sample stride (1 = every cycle).
     pub fn with_sample_stride(mut self, stride: u64) -> Self {
         self.sample_stride = stride.max(1);
-        self
-    }
-
-    /// Also record per-cycle memory pulses (high volume).
-    pub fn with_mem_pulses(mut self) -> Self {
-        self.record_pulses = true;
         self
     }
 
@@ -271,14 +255,6 @@ impl EventRecorder {
                         *core,
                         Map::new(),
                     ));
-                }
-                Event::MemPulse { pulse, .. } => {
-                    let mut args = Map::new();
-                    args.insert("l1_misses".into(), Value::U64(pulse.l1_misses));
-                    args.insert("l2_misses".into(), Value::U64(pulse.l2_misses));
-                    args.insert("invalidations".into(), Value::U64(pulse.invalidations));
-                    args.insert("mem_accesses".into(), Value::U64(pulse.mem_accesses));
-                    events.push(counter_event("mem events", ts, args));
                 }
                 Event::PhaseTimes { nanos, .. } => {
                     let mut args = Map::new();
@@ -410,15 +386,6 @@ impl SimObserver for EventRecorder {
 
     fn on_mem_retry(&mut self, cycle: u64, core: usize) {
         self.push(Event::MemRetry { cycle, core });
-    }
-
-    fn on_mem_pulse(&mut self, cycle: u64, pulse: &MemPulse) {
-        if self.record_pulses && !pulse.is_empty() {
-            self.push(Event::MemPulse {
-                cycle,
-                pulse: *pulse,
-            });
-        }
     }
 
     fn on_phase_time(&mut self, phase: Phase, nanos: u64) {

@@ -159,9 +159,6 @@ impl SimObserver for ObsStack {
     }
 
     fn on_mem_pulse(&mut self, cycle: u64, pulse: &MemPulse) {
-        if let Some(o) = &mut self.recorder {
-            o.on_mem_pulse(cycle, pulse);
-        }
         if let Some(o) = &mut self.counters {
             o.on_mem_pulse(cycle, pulse);
         }

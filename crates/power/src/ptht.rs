@@ -16,8 +16,6 @@ pub const PTHT_ENTRIES: usize = 8192;
 pub struct Ptht {
     table: Vec<u16>,
     mask: usize,
-    /// Total reads + writes (energy accounting).
-    pub accesses: u64,
     /// Estimation bookkeeping: sum of |estimate − actual| and count, to
     /// reproduce the paper's < 1 % estimation-error claim.
     pub abs_err: f64,
@@ -43,7 +41,6 @@ impl Ptht {
         Ptht {
             table: vec![0; entries],
             mask: entries - 1,
-            accesses: 0,
             abs_err: 0.0,
             err_samples: 0,
             actual_sum: 0.0,
@@ -62,15 +59,13 @@ impl Ptht {
 
     /// Fetch-time estimate of the token cost of the instruction at `pc`
     /// (its last execution's cost; 0 for never-seen instructions).
-    pub fn estimate(&mut self, pc: u64) -> f64 {
-        self.accesses += 1;
+    pub fn estimate(&self, pc: u64) -> f64 {
         f64::from(self.table[self.index(pc)])
     }
 
     /// Commit-time update with the measured cost (base + ROB residency
     /// cycles). Also folds the estimation error into the accuracy stats.
     pub fn update(&mut self, pc: u64, actual_tokens: f64) {
-        self.accesses += 1;
         let idx = self.index(pc);
         let prev = f64::from(self.table[idx]);
         if self.table[idx] != 0 || prev == actual_tokens {
@@ -142,15 +137,6 @@ mod tests {
             t.update(0x100, if i % 2 == 0 { 10.0 } else { 300.0 });
         }
         assert!(t.relative_error() > 0.5);
-    }
-
-    #[test]
-    fn accesses_counted() {
-        let mut t = Ptht::new(64);
-        t.estimate(0);
-        t.update(0, 5.0);
-        t.estimate(0);
-        assert_eq!(t.accesses, 3);
     }
 
     #[test]

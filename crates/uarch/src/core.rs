@@ -158,8 +158,6 @@ pub struct Core {
     next_mem_id: u64,
     mem_out: Vec<CoreMemReq>,
     rmw_out: Vec<RmwExec>,
-    /// Sum of PTHT estimates of instructions fetched this tick.
-    fetch_estimate: f64,
     last_ctx: ExecCtx,
     /// Statistics.
     pub stats: CoreStats,
@@ -197,7 +195,6 @@ impl Core {
             next_mem_id: 0,
             mem_out: Vec::new(),
             rmw_out: Vec::new(),
-            fetch_estimate: 0.0,
             last_ctx: ExecCtx::BUSY,
             stats: CoreStats::default(),
             base_tokens,
@@ -241,12 +238,6 @@ impl Core {
     /// then call `stream.rmw_result`).
     pub fn drain_rmw_execs(&mut self, out: &mut Vec<RmwExec>) {
         out.append(&mut self.rmw_out);
-    }
-
-    /// Sum of PTHT estimates of instructions fetched in the last tick
-    /// (the hardware's per-cycle power estimate; resets on read).
-    pub fn take_fetch_estimate(&mut self) -> f64 {
-        std::mem::take(&mut self.fetch_estimate)
     }
 
     /// Deliver a memory completion for request `id`.
@@ -671,7 +662,7 @@ impl Core {
                     if !self.icache.fetch(inst.pc) {
                         self.icache_stall_until = self.now + self.icache.miss_penalty();
                     }
-                    self.fetch_estimate += self.ptht.estimate(inst.pc);
+                    // The fetch-time PTHT read is charged as energy.
                     act.ptht_accesses += 1;
                     let seq = self.seq;
                     self.seq += 1;

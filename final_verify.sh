@@ -12,11 +12,10 @@ trap cleanup EXIT
 
 rc=0
 cargo test --workspace 2>&1 | tee test_output.txt || rc=1
-# Throughput headline: simulated cycles per host second (quick matrix),
-# and the inert-observer overhead beside it.
+# Throughput headline: simulated cycles per host second (quick matrix).
 cargo run --release -q --bin sim_throughput -- \
     --quick --out BENCH_simthroughput.json 2>/dev/null \
-    | grep -E '^(SIM_THROUGHPUT|OBS_INERT_OVERHEAD):' || rc=1
+    | grep -E '^SIM_THROUGHPUT:' || rc=1
 if [ "$rc" -ne 0 ]; then
     echo "FINAL_VERIFY_FAILED (see test_output.txt)" >&2
     exit "$rc"
