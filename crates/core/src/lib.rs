@@ -37,7 +37,8 @@
 //!     mechanism: MechanismKind::PtbTwoLevel { policy: PtbPolicy::ToAll, relax: 0.0 },
 //!     ..SimConfig::default()
 //! };
-//! let report = Simulation::new(cfg).run(Benchmark::Fft).expect("run");
+//! let spec = Benchmark::Fft.spec(cfg.n_cores, cfg.scale);
+//! let report = Simulation::new(cfg).run_spec(&spec).expect("run");
 //! assert!(report.cycles > 0);
 //! println!("AoPB = {:.3} J, energy = {:.3} J", report.aopb_joules, report.energy_joules);
 //! ```

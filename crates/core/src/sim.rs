@@ -8,7 +8,7 @@ use crate::mechanisms::{self, ChipObs, CoreAction, CoreObs, Mechanism};
 use crate::report::{CoreReport, RunReport};
 use crate::trace::PowerTrace;
 use ptb_isa::{Addr, CoreId, CtxState, InstStream, StreamEnv};
-use ptb_mem::{AccessKind, MemReq, MemResp, MemorySystem};
+use ptb_mem::{AccessKind, CoreMemStats, MemActivity, MemReq, MemResp, MemorySystem};
 use ptb_obs::{MemPulse, NullObserver, Phase, RunEnd, RunMeta, SimObserver, SpinKind, ThrottleObs};
 use ptb_power::{
     core_cycle_tokens, uncore_cycle_tokens, ChipEnergy, CoreActivity, DvfsMode, ThermalModel,
@@ -16,7 +16,7 @@ use ptb_power::{
 };
 use ptb_sync::SyncFabric;
 use ptb_uarch::{Core, CoreMemKind, CoreMemReq, RmwExec};
-use ptb_workloads::{Benchmark, ThreadEngine, WorkloadSpec};
+use ptb_workloads::{ThreadEngine, WorkloadSpec};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -82,32 +82,10 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Record the time elapsed since `start` against `phase`; returns the
-/// new phase start. Only called on the `wants_phase_timing` path.
-fn phase_mark<O: SimObserver>(obs: &mut O, phase: Phase, start: Instant) -> Instant {
-    let now = Instant::now();
-    obs.on_phase_time(phase, now.duration_since(start).as_nanos() as u64);
-    now
-}
-
 /// A configured simulation, ready to run workloads.
 pub struct Simulation {
     cfg: SimConfig,
     deadline: Option<Instant>,
-}
-
-struct FabricEnv<'a> {
-    fabric: &'a SyncFabric,
-    cycle: u64,
-}
-
-impl StreamEnv for FabricEnv<'_> {
-    fn read_sync_word(&self, addr: Addr) -> u64 {
-        self.fabric.read(addr)
-    }
-    fn now(&self) -> u64 {
-        self.cycle
-    }
 }
 
 impl Simulation {
@@ -130,35 +108,14 @@ impl Simulation {
         self
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// Build and run `bench` at the configured scale and core count.
-    pub fn run(&self, bench: Benchmark) -> Result<RunReport, SimError> {
-        self.run_observed(bench, &mut NullObserver)
-    }
-
-    /// Build and run `bench` while streaming simulation events to `obs`.
-    ///
-    /// See [`Simulation::run_spec_observed`] for the cost model.
-    pub fn run_observed<O: SimObserver>(
-        &self,
-        bench: Benchmark,
-        obs: &mut O,
-    ) -> Result<RunReport, SimError> {
-        let spec = bench.spec(self.cfg.n_cores, self.cfg.scale);
-        self.run_spec_observed(&spec, obs)
-    }
-
-    /// Run a custom workload spec (must have one thread per core).
+    /// Run a workload spec, which must have one thread per core. A
+    /// benchmark's spec at the configured size is
+    /// `bench.spec(cfg.n_cores, cfg.scale)`.
     pub fn run_spec(&self, spec: &WorkloadSpec) -> Result<RunReport, SimError> {
         self.run_spec_observed(spec, &mut NullObserver)
     }
 
-    /// Run a custom workload spec while streaming simulation events to
-    /// `obs`.
+    /// [`Simulation::run_spec`], streaming simulation events to `obs`.
     ///
     /// Every hook site is guarded by the associated `const`
     /// [`SimObserver::ENABLED`], so the monomorphised [`NullObserver`]
@@ -171,7 +128,111 @@ impl Simulation {
         spec: &WorkloadSpec,
         obs: &mut O,
     ) -> Result<RunReport, SimError> {
-        let n = self.cfg.n_cores;
+        let mut chip = Chip::new(&self.cfg, self.deadline, spec, obs)?;
+        while !chip.step(obs)? {}
+        Ok(chip.finish(obs))
+    }
+}
+
+struct FabricEnv<'a> {
+    fabric: &'a SyncFabric,
+    cycle: u64,
+}
+
+impl StreamEnv for FabricEnv<'_> {
+    fn read_sync_word(&self, addr: Addr) -> u64 {
+        self.fabric.read(addr)
+    }
+    fn now(&self) -> u64 {
+        self.cycle
+    }
+}
+
+/// Wall-clock phase timing for observers that want it: each `mark`
+/// charges the time since the previous mark to a phase. When off, it
+/// never reads the clock.
+struct PhaseClock(Option<Instant>);
+
+impl PhaseClock {
+    fn start(on: bool) -> Self {
+        PhaseClock(on.then(Instant::now))
+    }
+
+    fn mark<O: SimObserver>(&mut self, obs: &mut O, phase: Phase) {
+        if let Some(last) = &mut self.0 {
+            let now = Instant::now();
+            obs.on_phase_time(phase, now.duration_since(*last).as_nanos() as u64);
+            *last = now;
+        }
+    }
+}
+
+/// A chip running one workload: the cores, the memory system, the
+/// synchronisation fabric and the mechanism, plus the accounting that
+/// becomes the [`RunReport`]. [`Chip::step`] advances every part in
+/// lockstep by one global (3 GHz reference) cycle, one method per phase.
+struct Chip<'a> {
+    cfg: &'a SimConfig,
+    deadline: Option<Instant>,
+    benchmark: &'a str,
+    budget: BudgetSpec,
+    cycle: u64,
+
+    cores: Vec<Core>,
+    engines: Vec<ThreadEngine>,
+    mem: MemorySystem,
+    fabric: SyncFabric,
+    mechanism: Box<dyn Mechanism>,
+    /// Requests refused by the memory input queue, oldest first. They are
+    /// front-popped on acceptance, so a deque keeps the drain O(1).
+    retry: Vec<VecDeque<CoreMemReq>>,
+
+    // Per-core clocking, as the mechanism last set it.
+    actions: Vec<CoreAction>,
+    mode: Vec<DvfsMode>,
+    freq_acc: Vec<f64>,
+    /// Cycles left in a DVFS transition stall.
+    transition: Vec<u64>,
+
+    // Accounting for the report.
+    energy: ChipEnergy,
+    aopb_tokens: f64,
+    cycles_over: u64,
+    ctx_cycles: Vec<[u64; CtxState::BUCKETS]>,
+    spin_cycles: Vec<u64>,
+    spin_tokens: Vec<f64>,
+    trace: Option<PowerTrace>,
+    thermal: ThermalModel,
+    /// Cycles per thermal step (`dt` of simulated time).
+    thermal_stride: u64,
+    thermal_acc: Vec<f64>,
+    thermal_watts: Vec<f64>,
+    /// Consecutive cycles in which every unfinished core spun.
+    all_spin_run: u64,
+
+    // Per-cycle buffers, reused so that a warm cycle does not allocate.
+    tokens: Vec<f64>,
+    core_obs: Vec<CoreObs>,
+    resp_buf: Vec<MemResp>,
+    mem_buf: Vec<CoreMemReq>,
+    rmw_buf: Vec<RmwExec>,
+
+    // Observer-only state; dead under `NullObserver`.
+    profile: bool,
+    was_spinning: Vec<bool>,
+    prev_mem: CoreMemStats,
+}
+
+impl<'a> Chip<'a> {
+    /// Check `spec` against the machine, build the chip and announce the
+    /// run to `obs`.
+    fn new<O: SimObserver>(
+        cfg: &'a SimConfig,
+        deadline: Option<Instant>,
+        spec: &'a WorkloadSpec,
+        obs: &mut O,
+    ) -> Result<Self, SimError> {
+        let n = cfg.n_cores;
         if spec.n_threads() != n {
             return Err(SimError::BadWorkload(format!(
                 "workload has {} threads for {} cores",
@@ -184,386 +245,417 @@ impl Simulation {
             return Err(SimError::BadWorkload(problems.join("; ")));
         }
 
-        let params = &self.cfg.power;
-        let budget = BudgetSpec::new(params, &self.cfg.core, n, self.cfg.budget_frac);
-        let mut cores: Vec<Core> = (0..n)
-            .map(|c| Core::new(CoreId(c), self.cfg.core, params.class_base))
-            .collect();
-        let mut engines: Vec<ThreadEngine> = spec.engines();
-        let mut mem = MemorySystem::new(self.cfg.mem, n);
-        let mut fabric = SyncFabric::new();
-        let mut mechanism: Box<dyn Mechanism> =
-            mechanisms::build(self.cfg.mechanism, self.cfg.ptb, n);
-
-        let mut actions = vec![CoreAction::default(); n];
-        let mut current_mode = vec![DvfsMode::NOMINAL; n];
-        let mut freq_acc = vec![0.0f64; n];
-        let mut transition = vec![0u64; n];
-
-        let mut energy = ChipEnergy::new(n);
-        let mut aopb_tokens = 0.0f64;
-        let mut cycles_over = 0u64;
-        let mut ctx_cycles = vec![[0u64; CtxState::BUCKETS]; n];
-        let mut spin_cycles = vec![0u64; n];
-        let mut spin_tokens = vec![0.0f64; n];
-        let mut trace = self
-            .cfg
-            .capture_trace
-            .then(|| PowerTrace::new(n, 1, 4_000_000));
-        // Thermal integration: step the RC model once per `dt` of simulated
-        // time, driving it with the interval-average power per core.
+        let params = &cfg.power;
+        let budget = BudgetSpec::new(params, &cfg.core, n, cfg.budget_frac);
+        let mem = MemorySystem::new(cfg.mem, n);
+        let mechanism = mechanisms::build(cfg.mechanism, cfg.ptb, n);
         let mesh_width = ptb_noc::MeshConfig::for_cores(n).width;
-        let mut thermal = ThermalModel::new(self.cfg.thermal, n, mesh_width);
-        let thermal_stride = ((self.cfg.thermal.dt * params.freq_hz) as u64).max(1);
-        let mut thermal_acc = vec![0.0f64; n];
-        let mut thermal_watts = vec![0.0f64; n];
-
-        // Backpressure retry queues are front-popped on acceptance, so a
-        // deque keeps the drain O(1) per request instead of Vec::remove(0)
-        // shifting the whole queue.
-        let mut retry: Vec<VecDeque<CoreMemReq>> = vec![VecDeque::new(); n];
-        // Per-cycle buffers, reused so that a warm cycle does not allocate.
-        let mut resp_buf: Vec<MemResp> = Vec::new();
-        let mut mem_buf: Vec<CoreMemReq> = Vec::new();
-        let mut rmw_buf: Vec<RmwExec> = Vec::new();
-        let mut tokens = vec![0.0f64; n];
-        let mut obs_buf: Vec<CoreObs> = Vec::with_capacity(n);
-
-        // Observer-only state; dead (and optimised out) under NullObserver.
-        let profile = O::ENABLED && obs.wants_phase_timing();
-        let mut was_spinning = vec![false; n];
-        let mut prev_mem = mem.stats().totals();
+        let chip = Chip {
+            cfg,
+            deadline,
+            benchmark: &spec.name,
+            budget,
+            cycle: 0,
+            cores: (0..n)
+                .map(|c| Core::new(CoreId(c), cfg.core, params.class_base))
+                .collect(),
+            engines: spec.engines(),
+            prev_mem: mem.stats().totals(),
+            mem,
+            fabric: SyncFabric::new(),
+            mechanism,
+            retry: vec![VecDeque::new(); n],
+            actions: vec![CoreAction::default(); n],
+            mode: vec![DvfsMode::NOMINAL; n],
+            freq_acc: vec![0.0; n],
+            transition: vec![0; n],
+            energy: ChipEnergy::new(n),
+            aopb_tokens: 0.0,
+            cycles_over: 0,
+            ctx_cycles: vec![[0; CtxState::BUCKETS]; n],
+            spin_cycles: vec![0; n],
+            spin_tokens: vec![0.0; n],
+            trace: cfg.capture_trace.then(|| PowerTrace::new(n, 1, 4_000_000)),
+            thermal: ThermalModel::new(cfg.thermal, n, mesh_width),
+            thermal_stride: ((cfg.thermal.dt * params.freq_hz) as u64).max(1),
+            thermal_acc: vec![0.0; n],
+            thermal_watts: vec![0.0; n],
+            all_spin_run: 0,
+            tokens: vec![0.0; n],
+            core_obs: Vec::with_capacity(n),
+            resp_buf: Vec::new(),
+            mem_buf: Vec::new(),
+            rmw_buf: Vec::new(),
+            profile: O::ENABLED && obs.wants_phase_timing(),
+            was_spinning: vec![false; n],
+        };
         if O::ENABLED {
             obs.on_run_start(&RunMeta {
                 benchmark: spec.name.clone(),
-                mechanism: mechanism.name(),
+                mechanism: chip.mechanism.name(),
                 n_cores: n,
                 freq_hz: params.freq_hz,
-                budget_tokens: budget.global,
+                budget_tokens: chip.budget.global,
             });
         }
-        let mut phase_t = Instant::now();
+        Ok(chip)
+    }
 
-        let mut all_spin_run: u64 = 0;
-        let mut cycle: u64 = 0;
-        loop {
-            cycle += 1;
-            if cycle > self.cfg.max_cycles {
-                let unfinished = (0..n).filter(|&c| !cores[c].is_done()).collect::<Vec<_>>();
-                return Err(SimError::MaxCyclesExceeded {
-                    limit: self.cfg.max_cycles,
-                    unfinished,
-                });
-            }
-            if let Some(dl) = self.deadline {
-                if cycle & 0x1FFF == 0 && Instant::now() >= dl {
-                    return Err(SimError::DeadlineExceeded { cycles_done: cycle });
-                }
-            }
+    /// Run one global cycle; `Ok(true)` once every core is done. Phase
+    /// timing happens here only: each bucket is the time between marks.
+    fn step<O: SimObserver>(&mut self, obs: &mut O) -> Result<bool, SimError> {
+        self.cycle += 1;
+        self.check_limits()?;
+        let mut clock = PhaseClock::start(O::ENABLED && self.profile);
 
-            // 1. Memory system advances; completions reach the cores.
-            //    Split at the NoC/event boundary so profiles attribute
-            //    interconnect time separately from the event wheel.
-            if profile {
-                phase_t = Instant::now();
-            }
-            mem.advance_noc();
-            if profile {
-                phase_t = phase_mark(obs, Phase::Noc, phase_t);
-            }
-            mem.advance_events();
-            mem.drain_responses(&mut resp_buf);
-            for resp in resp_buf.drain(..) {
-                cores[resp.core.index()].mem_response(resp.id);
-            }
-            if profile {
-                phase_t = phase_mark(obs, Phase::MemTick, phase_t);
-            }
+        // Phase 1 is timed at the NoC/event boundary, so that profiles
+        // attribute interconnect time apart from the event wheel.
+        self.mem.advance_noc();
+        clock.mark(obs, Phase::Noc);
+        self.deliver_memory();
+        clock.mark(obs, Phase::MemTick);
 
-            // 2. Atomic RMWs whose ownership landed execute functionally,
-            //    in deterministic core order; streams learn the old value.
-            for c in 0..n {
-                rmw_buf.clear();
-                cores[c].drain_rmw_execs(&mut rmw_buf);
-                for r in &rmw_buf {
-                    let old = fabric.execute(r.op, r.addr, r.operand);
-                    engines[c].rmw_result(r.token, old);
-                }
-            }
+        // RMW execution counts as core tick.
+        self.execute_rmws();
+        self.tick_cores(obs);
+        clock.mark(obs, Phase::CoreTick);
 
-            // 3. Core clocks (frequency-scaled) tick.
-            for c in 0..n {
-                let mode = current_mode[c];
-                let act: CoreActivity = if transition[c] > 0 {
-                    // Stalled mid-DVFS-transition: leakage only.
-                    transition[c] -= 1;
-                    CoreActivity::default()
-                } else {
-                    freq_acc[c] += mode.f;
-                    if freq_acc[c] >= 1.0 {
-                        freq_acc[c] -= 1.0;
-                        let mut env = FabricEnv {
-                            fabric: &fabric,
-                            cycle,
-                        };
-                        cores[c].tick(&mut engines[c], &mut env)
-                    } else {
-                        CoreActivity::default()
-                    }
-                };
-                tokens[c] = core_cycle_tokens(params, &act, mode);
-
-                // Forward freshly-emitted memory requests (with retry on
-                // input-queue backpressure).
-                mem_buf.clear();
-                cores[c].drain_mem_requests(&mut mem_buf);
-                retry[c].extend(mem_buf.drain(..));
-                while let Some(req) = retry[c].front().copied() {
-                    let accepted = mem.request(MemReq {
-                        id: req.id,
-                        core: CoreId(c),
-                        kind: match req.kind {
-                            CoreMemKind::Load => AccessKind::Load,
-                            CoreMemKind::Store => AccessKind::Store,
-                            CoreMemKind::Rmw => AccessKind::Rmw,
-                        },
-                        addr: req.addr,
-                    });
-                    if accepted {
-                        retry[c].pop_front();
-                    } else {
-                        if O::ENABLED {
-                            obs.on_mem_retry(cycle, c);
-                        }
-                        break;
-                    }
-                }
-            }
-            if profile {
-                phase_t = phase_mark(obs, Phase::CoreTick, phase_t);
-            }
-
-            // 4. Power sample for this cycle. Observer-hook delivery
-            //    (pulse assembly, `on_cycle` fan-out) is timed separately
-            //    into Phase::Observer so it never pollutes the
-            //    PowerSample bucket. The chip total is the per-core sum
-            //    in core order plus uncore, as `ChipEnergy::add` folds it.
-            let mut obs_ns: u64 = 0;
-            let mem_act = mem.take_activity();
-            if O::ENABLED {
-                let t0 = if profile { Some(Instant::now()) } else { None };
-                let totals = mem.stats().totals();
-                let pulse = MemPulse {
-                    l1_accesses: mem_act.l1_accesses,
-                    l2_accesses: mem_act.l2_accesses,
-                    noc_flit_hops: mem_act.noc_flit_hops,
-                    mem_accesses: mem_act.mem_accesses,
-                    l1_misses: totals.l1_misses - prev_mem.l1_misses,
-                    l2_misses: totals.l2_misses - prev_mem.l2_misses,
-                    invalidations: totals.invalidations_received - prev_mem.invalidations_received,
-                };
-                prev_mem = totals;
-                if !pulse.is_empty() {
-                    obs.on_mem_pulse(cycle, &pulse);
-                }
-                if let Some(t0) = t0 {
-                    obs_ns += t0.elapsed().as_nanos() as u64;
-                }
-            }
-            let uncore = uncore_cycle_tokens(
-                params,
-                &UncoreActivity {
-                    l1_accesses: mem_act.l1_accesses,
-                    l2_accesses: mem_act.l2_accesses,
-                    noc_flit_hops: mem_act.noc_flit_hops,
-                    mem_accesses: mem_act.mem_accesses,
-                },
-            ) + mechanism.overhead_tokens(&budget);
-            let chip = energy.add(&tokens, uncore);
-            if O::ENABLED {
-                let t0 = if profile { Some(Instant::now()) } else { None };
-                obs.on_cycle(cycle, &tokens, uncore, chip);
-                if let Some(t0) = t0 {
-                    obs_ns += t0.elapsed().as_nanos() as u64;
-                }
-            }
-            if chip > budget.global {
-                aopb_tokens += chip - budget.global;
-                cycles_over += 1;
-            }
-            if let Some(t) = trace.as_mut() {
-                t.record(cycle, chip, &tokens);
-            }
-            for (acc, &t) in thermal_acc.iter_mut().zip(&tokens) {
-                *acc += t;
-            }
-            if cycle.is_multiple_of(thermal_stride) {
-                for c in 0..n {
-                    thermal_watts[c] = params.watts(thermal_acc[c] / thermal_stride as f64);
-                    thermal_acc[c] = 0.0;
-                }
-                thermal.step(&thermal_watts);
-            }
-            if profile {
-                if obs_ns > 0 {
-                    obs.on_phase_time(Phase::Observer, obs_ns);
-                }
-                let now = Instant::now();
-                let total = now.duration_since(phase_t).as_nanos() as u64;
-                obs.on_phase_time(Phase::PowerSample, total.saturating_sub(obs_ns));
-                phase_t = now;
-            }
-
-            // 5. Context/breakdown accounting.
-            let mut all_done = true;
-            let mut unfinished_cores = 0usize;
-            let mut spinning_cores = 0usize;
-            for c in 0..n {
-                let done = cores[c].is_done();
-                all_done &= done;
-                if !done {
-                    unfinished_cores += 1;
-                    let ctx = cores[c].current_ctx();
-                    if ctx.spinning {
-                        spinning_cores += 1;
-                    }
-                    ctx_cycles[c][ctx.state.bucket()] += 1;
-                    if O::ENABLED && ctx.spinning != was_spinning[c] {
-                        was_spinning[c] = ctx.spinning;
-                        if ctx.spinning {
-                            let kind = match ctx.state {
-                                CtxState::LockAcq(_) | CtxState::LockRel(_) => SpinKind::Lock,
-                                CtxState::Barrier(_) => SpinKind::Barrier,
-                                CtxState::Busy => SpinKind::Other,
-                            };
-                            obs.on_spin_enter(cycle, c, kind);
-                        } else {
-                            obs.on_spin_exit(cycle, c);
-                        }
-                    }
-                    if ctx.spinning {
-                        spin_cycles[c] += 1;
-                        // "Power wasted while spinning" (Figure 4) is the
-                        // dynamic power above the idle floor — leakage is
-                        // paid whether or not the core spins.
-                        spin_tokens[c] += (tokens[c]
-                            - params.core_leakage * current_mode[c].leakage_scale())
-                        .max(0.0);
-                    }
-                } else if O::ENABLED && was_spinning[c] {
-                    // A core that finishes mid-spin still closes its span.
-                    was_spinning[c] = false;
-                    obs.on_spin_exit(cycle, c);
-                }
-            }
-
-            // Livelock watchdog: a spin only exits when *another* core
-            // acts (releases a lock, reaches a barrier). If every
-            // unfinished core spins — uninterrupted — for the whole
-            // budget, no such action can ever come and the run would
-            // otherwise burn cycles until `max_cycles`.
-            if let Some(spin_budget) = self.cfg.spin_cycle_budget {
-                if unfinished_cores > 0 && spinning_cores == unfinished_cores {
-                    all_spin_run += 1;
-                    if all_spin_run >= spin_budget {
-                        let spinning = (0..n).filter(|&c| !cores[c].is_done()).collect::<Vec<_>>();
-                        return Err(SimError::CycleBudgetExceeded {
-                            budget: spin_budget,
-                            cycle,
-                            spinning,
-                        });
-                    }
-                } else {
-                    all_spin_run = 0;
-                }
-            }
-
-            // 6. Mechanism observes and sets next-cycle actions.
-            obs_buf.clear();
-            for c in 0..n {
-                obs_buf.push(CoreObs {
-                    tokens: tokens[c],
-                    ctx: cores[c].current_ctx(),
-                    done: cores[c].is_done(),
-                });
-            }
-            let chip_obs = ChipObs {
-                cycle,
-                chip_tokens: chip,
-                uncore_tokens: uncore,
-                cores: &obs_buf,
-            };
-            mechanism.control(&chip_obs, &budget, &mut actions);
-            for c in 0..n {
-                if actions[c].mode != current_mode[c] {
-                    let stall = DvfsMode::transition_cycles(current_mode[c], actions[c].mode);
-                    transition[c] += stall;
-                    current_mode[c] = actions[c].mode;
-                    if O::ENABLED {
-                        obs.on_dvfs_change(cycle, c, current_mode[c].v, current_mode[c].f, stall);
-                    }
-                }
-                if O::ENABLED && cores[c].throttle != actions[c].throttle {
-                    let th = actions[c].throttle;
-                    obs.on_throttle_change(
-                        cycle,
-                        c,
-                        ThrottleObs {
-                            fetch_every: th.fetch_every,
-                            issue_width: th.issue_width,
-                            rob_cap: th.rob_cap,
-                        },
-                    );
-                }
-                cores[c].throttle = actions[c].throttle;
-            }
-            if profile {
-                phase_t = phase_mark(obs, Phase::Mechanism, phase_t);
-            }
-
-            if all_done {
-                break;
-            }
+        let mem_act = self.mem.take_activity();
+        let (uncore, chip) = self.sample_power(&mem_act);
+        clock.mark(obs, Phase::PowerSample);
+        if O::ENABLED {
+            self.observe_power(obs, &mem_act, uncore, chip);
+            clock.mark(obs, Phase::Observer);
         }
 
+        // Bookkeeping and the watchdog count as mechanism.
+        let (unfinished, spinning) = self.bookkeeping(obs);
+        self.watchdog(unfinished, spinning)?;
+        self.control(obs, uncore, chip);
+        clock.mark(obs, Phase::Mechanism);
+        Ok(unfinished == 0)
+    }
+
+    /// The hard limits, checked before a cycle runs: `max_cycles`, then
+    /// the wall-clock deadline every 8192 cycles.
+    fn check_limits(&self) -> Result<(), SimError> {
+        if self.cycle > self.cfg.max_cycles {
+            return Err(SimError::MaxCyclesExceeded {
+                limit: self.cfg.max_cycles,
+                unfinished: self.unfinished(),
+            });
+        }
+        match self.deadline {
+            Some(dl) if self.cycle & 0x1FFF == 0 && Instant::now() >= dl => {
+                Err(SimError::DeadlineExceeded {
+                    cycles_done: self.cycle,
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The cores that have not finished their thread.
+    fn unfinished(&self) -> Vec<usize> {
+        (0..self.cores.len())
+            .filter(|&c| !self.cores[c].is_done())
+            .collect()
+    }
+
+    /// Phase 1, after the NoC: memory events fire and completions reach
+    /// the cores.
+    fn deliver_memory(&mut self) {
+        self.mem.advance_events();
+        self.mem.drain_responses(&mut self.resp_buf);
+        for resp in self.resp_buf.drain(..) {
+            self.cores[resp.core.index()].mem_response(resp.id);
+        }
+    }
+
+    /// Phase 2: atomic RMWs whose ownership landed execute functionally,
+    /// in deterministic core order; streams learn the old value.
+    fn execute_rmws(&mut self) {
+        for c in 0..self.cores.len() {
+            self.rmw_buf.clear();
+            self.cores[c].drain_rmw_execs(&mut self.rmw_buf);
+            for r in &self.rmw_buf {
+                let old = self.fabric.execute(r.op, r.addr, r.operand);
+                self.engines[c].rmw_result(r.token, old);
+            }
+        }
+    }
+
+    /// Phase 3: the core clocks tick, scaled by each core's frequency,
+    /// and meter this cycle's tokens; a core in a DVFS transition stalls
+    /// and pays leakage only. New memory requests go to the memory
+    /// system in order; one its input queue refuses waits, with those
+    /// behind it, for the next cycle.
+    fn tick_cores<O: SimObserver>(&mut self, obs: &mut O) {
+        let params = &self.cfg.power;
+        for c in 0..self.cores.len() {
+            let mode = self.mode[c];
+            let act = if self.transition[c] > 0 {
+                self.transition[c] -= 1;
+                CoreActivity::default()
+            } else {
+                self.freq_acc[c] += mode.f;
+                if self.freq_acc[c] >= 1.0 {
+                    self.freq_acc[c] -= 1.0;
+                    let mut env = FabricEnv {
+                        fabric: &self.fabric,
+                        cycle: self.cycle,
+                    };
+                    self.cores[c].tick(&mut self.engines[c], &mut env)
+                } else {
+                    CoreActivity::default()
+                }
+            };
+            self.tokens[c] = core_cycle_tokens(params, &act, mode);
+
+            self.mem_buf.clear();
+            self.cores[c].drain_mem_requests(&mut self.mem_buf);
+            let retry = &mut self.retry[c];
+            retry.extend(self.mem_buf.drain(..));
+            while let Some(req) = retry.front().copied() {
+                let accepted = self.mem.request(MemReq {
+                    id: req.id,
+                    core: CoreId(c),
+                    kind: match req.kind {
+                        CoreMemKind::Load => AccessKind::Load,
+                        CoreMemKind::Store => AccessKind::Store,
+                        CoreMemKind::Rmw => AccessKind::Rmw,
+                    },
+                    addr: req.addr,
+                });
+                if !accepted {
+                    if O::ENABLED {
+                        obs.on_mem_retry(self.cycle, c);
+                    }
+                    break;
+                }
+                retry.pop_front();
+            }
+        }
+    }
+
+    /// Phase 4: charge this cycle's power. The chip total is the per-core
+    /// sum in core order plus uncore and mechanism overhead, as
+    /// `ChipEnergy::add` folds it; it feeds the AoPB and the power trace,
+    /// and the per-core tokens feed the thermal model. Returns the
+    /// `(uncore, chip)` tokens.
+    fn sample_power(&mut self, mem_act: &MemActivity) -> (f64, f64) {
+        let params = &self.cfg.power;
+        let uncore = uncore_cycle_tokens(
+            params,
+            &UncoreActivity {
+                l1_accesses: mem_act.l1_accesses,
+                l2_accesses: mem_act.l2_accesses,
+                noc_flit_hops: mem_act.noc_flit_hops,
+                mem_accesses: mem_act.mem_accesses,
+            },
+        ) + self.mechanism.overhead_tokens(&self.budget);
+        let chip = self.energy.add(&self.tokens, uncore);
+        if chip > self.budget.global {
+            self.aopb_tokens += chip - self.budget.global;
+            self.cycles_over += 1;
+        }
+        if let Some(t) = self.trace.as_mut() {
+            t.record(self.cycle, chip, &self.tokens);
+        }
+        // The RC thermal model steps once per `dt` of simulated time,
+        // driven by the interval-average power per core.
+        for (acc, &t) in self.thermal_acc.iter_mut().zip(&self.tokens) {
+            *acc += t;
+        }
+        if self.cycle.is_multiple_of(self.thermal_stride) {
+            for (watts, acc) in self.thermal_watts.iter_mut().zip(&mut self.thermal_acc) {
+                *watts = params.watts(*acc / self.thermal_stride as f64);
+                *acc = 0.0;
+            }
+            self.thermal.step(&self.thermal_watts);
+        }
+        (uncore, chip)
+    }
+
+    /// The observer's view of the power sample: the cycle's memory pulse,
+    /// when there was any traffic, then `on_cycle`.
+    fn observe_power<O: SimObserver>(
+        &mut self,
+        obs: &mut O,
+        mem_act: &MemActivity,
+        uncore: f64,
+        chip: f64,
+    ) {
+        let totals = self.mem.stats().totals();
+        let prev = std::mem::replace(&mut self.prev_mem, totals);
+        let pulse = MemPulse {
+            l1_accesses: mem_act.l1_accesses,
+            l2_accesses: mem_act.l2_accesses,
+            noc_flit_hops: mem_act.noc_flit_hops,
+            mem_accesses: mem_act.mem_accesses,
+            l1_misses: totals.l1_misses - prev.l1_misses,
+            l2_misses: totals.l2_misses - prev.l2_misses,
+            invalidations: totals.invalidations_received - prev.invalidations_received,
+        };
+        if !pulse.is_empty() {
+            obs.on_mem_pulse(self.cycle, &pulse);
+        }
+        obs.on_cycle(self.cycle, &self.tokens, uncore, chip);
+    }
+
+    /// Phase 5: context and spin accounting, in one pass that also fills
+    /// the mechanism's per-core observations, so each core's done flag
+    /// and context are read once. Returns the number of unfinished cores
+    /// and how many of them spin.
+    fn bookkeeping<O: SimObserver>(&mut self, obs: &mut O) -> (usize, usize) {
+        let leakage = self.cfg.power.core_leakage;
+        let (mut unfinished, mut spinning) = (0, 0);
+        self.core_obs.clear();
+        for c in 0..self.cores.len() {
+            let done = self.cores[c].is_done();
+            let ctx = self.cores[c].current_ctx();
+            self.core_obs.push(CoreObs {
+                tokens: self.tokens[c],
+                ctx,
+                done,
+            });
+            if done {
+                if O::ENABLED && self.was_spinning[c] {
+                    // A core that finishes mid-spin still closes its span.
+                    self.was_spinning[c] = false;
+                    obs.on_spin_exit(self.cycle, c);
+                }
+                continue;
+            }
+            unfinished += 1;
+            self.ctx_cycles[c][ctx.state.bucket()] += 1;
+            if O::ENABLED && ctx.spinning != self.was_spinning[c] {
+                self.was_spinning[c] = ctx.spinning;
+                if ctx.spinning {
+                    let kind = match ctx.state {
+                        CtxState::LockAcq(_) | CtxState::LockRel(_) => SpinKind::Lock,
+                        CtxState::Barrier(_) => SpinKind::Barrier,
+                        CtxState::Busy => SpinKind::Other,
+                    };
+                    obs.on_spin_enter(self.cycle, c, kind);
+                } else {
+                    obs.on_spin_exit(self.cycle, c);
+                }
+            }
+            if ctx.spinning {
+                spinning += 1;
+                self.spin_cycles[c] += 1;
+                // "Power wasted while spinning" (Figure 4) is the dynamic
+                // power above the idle floor — leakage is paid whether or
+                // not the core spins.
+                self.spin_tokens[c] +=
+                    (self.tokens[c] - leakage * self.mode[c].leakage_scale()).max(0.0);
+            }
+        }
+        (unfinished, spinning)
+    }
+
+    /// Livelock watchdog: a spin only exits when *another* core acts
+    /// (releases a lock, reaches a barrier). If every unfinished core
+    /// spins, uninterrupted, for the whole budget, no such action can
+    /// ever come and the run would otherwise burn cycles until
+    /// `max_cycles`.
+    fn watchdog(&mut self, unfinished: usize, spinning: usize) -> Result<(), SimError> {
+        let Some(budget) = self.cfg.spin_cycle_budget else {
+            return Ok(());
+        };
+        if unfinished == 0 || spinning < unfinished {
+            self.all_spin_run = 0;
+            return Ok(());
+        }
+        self.all_spin_run += 1;
+        if self.all_spin_run < budget {
+            return Ok(());
+        }
+        Err(SimError::CycleBudgetExceeded {
+            budget,
+            cycle: self.cycle,
+            spinning: self.unfinished(),
+        })
+    }
+
+    /// Phase 6: the mechanism observes this cycle and sets each core's
+    /// DVFS mode and throttle for the next one.
+    fn control<O: SimObserver>(&mut self, obs: &mut O, uncore: f64, chip: f64) {
+        let chip_obs = ChipObs {
+            cycle: self.cycle,
+            chip_tokens: chip,
+            uncore_tokens: uncore,
+            cores: &self.core_obs,
+        };
+        self.mechanism
+            .control(&chip_obs, &self.budget, &mut self.actions);
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            let action = self.actions[c];
+            if action.mode != self.mode[c] {
+                let stall = DvfsMode::transition_cycles(self.mode[c], action.mode);
+                self.transition[c] += stall;
+                self.mode[c] = action.mode;
+                if O::ENABLED {
+                    obs.on_dvfs_change(self.cycle, c, action.mode.v, action.mode.f, stall);
+                }
+            }
+            if O::ENABLED && core.throttle != action.throttle {
+                let th = action.throttle;
+                obs.on_throttle_change(
+                    self.cycle,
+                    c,
+                    ThrottleObs {
+                        fetch_every: th.fetch_every,
+                        issue_width: th.issue_width,
+                        rob_cap: th.rob_cap,
+                    },
+                );
+            }
+            core.throttle = action.throttle;
+        }
+    }
+
+    /// End the run: tell `obs`, then assemble the report.
+    fn finish<O: SimObserver>(self, obs: &mut O) -> RunReport {
         if O::ENABLED {
             obs.on_run_end(&RunEnd {
-                cycles: cycle,
-                energy_tokens: energy.total,
+                cycles: self.cycle,
+                energy_tokens: self.energy.total,
             });
         }
-
-        // Assemble the report.
-        let core_reports: Vec<CoreReport> = (0..n)
+        let n = self.cores.len();
+        let params = &self.cfg.power;
+        let cores = (0..n)
             .map(|c| CoreReport {
-                ctx_cycles: ctx_cycles[c],
-                spin_cycles: spin_cycles[c],
-                spin_tokens: spin_tokens[c],
-                tokens: energy.per_core[c],
-                committed: cores[c].stats.committed,
-                mispredict_rate: cores[c].stats.mispredict_rate(),
-                ptht_error: cores[c].ptht.relative_error(),
+                ctx_cycles: self.ctx_cycles[c],
+                spin_cycles: self.spin_cycles[c],
+                spin_tokens: self.spin_tokens[c],
+                tokens: self.energy.per_core[c],
+                committed: self.cores[c].stats.committed,
+                mispredict_rate: self.cores[c].stats.mispredict_rate(),
+                ptht_error: self.cores[c].ptht.relative_error(),
             })
             .collect();
-        Ok(RunReport {
-            benchmark: spec.name.clone(),
-            mechanism: mechanism.name(),
+        RunReport {
+            benchmark: self.benchmark.to_owned(),
+            mechanism: self.mechanism.name(),
             n_cores: n,
-            cycles: cycle,
-            budget,
-            energy_tokens: energy.total,
-            energy_joules: params.joules(energy.total),
-            aopb_tokens,
-            aopb_joules: params.joules(aopb_tokens),
-            mean_power: energy.mean_power(),
-            power_stddev: energy.power_stddev(),
-            cycles_over_budget: cycles_over,
-            max_temp_c: thermal.max_temp,
-            mean_temp_c: (0..n).map(|c| thermal.mean_temp(c)).sum::<f64>() / n as f64,
-            temp_stddev_c: thermal.mean_stddev(),
-            cores: core_reports,
-            trace,
+            cycles: self.cycle,
+            budget: self.budget,
+            energy_tokens: self.energy.total,
+            energy_joules: params.joules(self.energy.total),
+            aopb_tokens: self.aopb_tokens,
+            aopb_joules: params.joules(self.aopb_tokens),
+            mean_power: self.energy.mean_power(),
+            power_stddev: self.energy.power_stddev(),
+            cycles_over_budget: self.cycles_over,
+            max_temp_c: self.thermal.max_temp,
+            mean_temp_c: (0..n).map(|c| self.thermal.mean_temp(c)).sum::<f64>() / n as f64,
+            temp_stddev_c: self.thermal.mean_stddev(),
+            cores,
+            trace: self.trace,
             extra_metrics: std::collections::BTreeMap::new(),
-        })
+        }
     }
 }

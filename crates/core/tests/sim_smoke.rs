@@ -1,7 +1,8 @@
 //! End-to-end simulation tests: full stack (workload → cores → MOESI
 //! memory → power model → mechanism) on small inputs.
 
-use ptb_core::{MechanismKind, PtbPolicy, SimConfig, Simulation};
+use ptb_core::sim::SimError;
+use ptb_core::{MechanismKind, PtbPolicy, RunReport, SimConfig, Simulation};
 use ptb_workloads::{Benchmark, Scale};
 
 fn cfg(n: usize, mech: MechanismKind) -> SimConfig {
@@ -14,11 +15,15 @@ fn cfg(n: usize, mech: MechanismKind) -> SimConfig {
     }
 }
 
+/// Run `bench` at the config's core count and scale.
+fn run(c: SimConfig, bench: Benchmark) -> Result<RunReport, SimError> {
+    let spec = bench.spec(c.n_cores, c.scale);
+    Simulation::new(c).run_spec(&spec)
+}
+
 #[test]
 fn baseline_fft_completes_with_sane_report() {
-    let r = Simulation::new(cfg(2, MechanismKind::None))
-        .run(Benchmark::Fft)
-        .expect("run");
+    let r = run(cfg(2, MechanismKind::None), Benchmark::Fft).expect("run");
     assert!(r.cycles > 1000, "suspiciously short run: {}", r.cycles);
     assert!(r.energy_tokens > 0.0);
     assert!(r.mean_power > 0.0);
@@ -41,13 +46,9 @@ fn baseline_fft_completes_with_sane_report() {
 
 #[test]
 fn deterministic_runs() {
-    let run = || {
-        Simulation::new(cfg(2, MechanismKind::None))
-            .run(Benchmark::Radix)
-            .expect("run")
-    };
-    let a = run();
-    let b = run();
+    let once = || run(cfg(2, MechanismKind::None), Benchmark::Radix).expect("run");
+    let a = once();
+    let b = once();
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.energy_tokens, b.energy_tokens);
     assert_eq!(a.aopb_tokens, b.aopb_tokens);
@@ -56,9 +57,7 @@ fn deterministic_runs() {
 
 #[test]
 fn lock_heavy_benchmark_shows_lock_time() {
-    let r = Simulation::new(cfg(4, MechanismKind::None))
-        .run(Benchmark::Unstructured)
-        .expect("run");
+    let r = run(cfg(4, MechanismKind::None), Benchmark::Unstructured).expect("run");
     let frac = r.breakdown_frac();
     assert!(
         frac[1] > 0.01,
@@ -70,9 +69,7 @@ fn lock_heavy_benchmark_shows_lock_time() {
 
 #[test]
 fn contention_free_benchmark_is_mostly_busy() {
-    let r = Simulation::new(cfg(4, MechanismKind::None))
-        .run(Benchmark::Blackscholes)
-        .expect("run");
+    let r = run(cfg(4, MechanismKind::None), Benchmark::Blackscholes).expect("run");
     let frac = r.breakdown_frac();
     assert!(
         frac[0] > 0.80,
@@ -88,9 +85,7 @@ fn contention_free_benchmark_is_mostly_busy() {
 fn baseline_exceeds_the_half_peak_budget() {
     // The whole premise: without control, a busy chip spends a sizable
     // fraction of its time over the 50% budget.
-    let r = Simulation::new(cfg(4, MechanismKind::None))
-        .run(Benchmark::Swaptions)
-        .expect("run");
+    let r = run(cfg(4, MechanismKind::None), Benchmark::Swaptions).expect("run");
     assert!(
         r.over_budget_frac() > 0.2,
         "baseline should exceed the 50% budget regularly, got {:.3}",
@@ -101,12 +96,8 @@ fn baseline_exceeds_the_half_peak_budget() {
 
 #[test]
 fn dvfs_reduces_aopb_and_slows_down() {
-    let base = Simulation::new(cfg(4, MechanismKind::None))
-        .run(Benchmark::Swaptions)
-        .expect("run");
-    let dvfs = Simulation::new(cfg(4, MechanismKind::Dvfs))
-        .run(Benchmark::Swaptions)
-        .expect("run");
+    let base = run(cfg(4, MechanismKind::None), Benchmark::Swaptions).expect("run");
+    let dvfs = run(cfg(4, MechanismKind::Dvfs), Benchmark::Swaptions).expect("run");
     assert!(dvfs.aopb_tokens < base.aopb_tokens, "DVFS must reduce AoPB");
     assert!(
         dvfs.cycles >= base.cycles,
@@ -117,18 +108,14 @@ fn dvfs_reduces_aopb_and_slows_down() {
 
 #[test]
 fn ptb_matches_budget_better_than_dvfs() {
-    let mk = |m| {
-        Simulation::new(cfg(4, m))
-            .run(Benchmark::Barnes)
-            .expect("run")
-    };
+    let mk = |m| run(cfg(4, m), Benchmark::Barnes).expect("run");
     let base = mk(MechanismKind::None);
     let dvfs = mk(MechanismKind::Dvfs);
     let ptb = mk(MechanismKind::PtbTwoLevel {
         policy: PtbPolicy::ToAll,
         relax: 0.0,
     });
-    let norm = |r: &ptb_core::RunReport| r.aopb_tokens / base.aopb_tokens;
+    let norm = |r: &RunReport| r.aopb_tokens / base.aopb_tokens;
     assert!(
         norm(&ptb) < norm(&dvfs),
         "PTB AoPB ({:.3}) must beat DVFS ({:.3})",
@@ -141,11 +128,7 @@ fn ptb_matches_budget_better_than_dvfs() {
 fn two_level_clips_spikes_better_than_dvfs_alone() {
     // Swaptions is sustained-busy, so the chip sits over the budget long
     // enough for the windowed mechanisms to engage even at Test scale.
-    let mk = |m| {
-        Simulation::new(cfg(4, m))
-            .run(Benchmark::Swaptions)
-            .expect("run")
-    };
+    let mk = |m| run(cfg(4, m), Benchmark::Swaptions).expect("run");
     let base = mk(MechanismKind::None);
     let dvfs = mk(MechanismKind::Dvfs);
     let two = mk(MechanismKind::TwoLevel);
@@ -162,7 +145,7 @@ fn two_level_clips_spikes_better_than_dvfs_alone() {
 fn trace_capture_produces_samples() {
     let mut c = cfg(2, MechanismKind::None);
     c.capture_trace = true;
-    let r = Simulation::new(c).run(Benchmark::Fft).expect("run");
+    let r = run(c, Benchmark::Fft).expect("run");
     let t = r.trace.expect("trace requested");
     assert_eq!(t.len() as u64, r.cycles.min(4_000_000));
     assert!(t.per_core.len() == 2);
@@ -174,7 +157,7 @@ fn wrong_thread_count_is_rejected() {
     let err = Simulation::new(cfg(2, MechanismKind::None))
         .run_spec(&spec)
         .unwrap_err();
-    assert!(matches!(err, ptb_core::sim::SimError::BadWorkload(_)));
+    assert!(matches!(err, SimError::BadWorkload(_)));
 }
 
 #[test]
@@ -184,8 +167,8 @@ fn max_cycles_limit_is_enforced() {
             max_cycles,
             ..cfg(2, MechanismKind::None)
         };
-        match Simulation::new(c).run(Benchmark::Fft).unwrap_err() {
-            ptb_core::sim::SimError::MaxCyclesExceeded { limit, unfinished } => {
+        match run(c, Benchmark::Fft).unwrap_err() {
+            SimError::MaxCyclesExceeded { limit, unfinished } => {
                 assert_eq!(limit, max_cycles);
                 unfinished
             }
@@ -195,9 +178,7 @@ fn max_cycles_limit_is_enforced() {
     // Far too few cycles: both cores are still running.
     assert_eq!(limited(500), vec![0, 1]);
     // One cycle short: only core 1, which finishes on the last cycle.
-    let full = Simulation::new(cfg(2, MechanismKind::None))
-        .run(Benchmark::Fft)
-        .expect("run");
+    let full = run(cfg(2, MechanismKind::None), Benchmark::Fft).expect("run");
     assert_eq!(limited(full.cycles - 1), vec![1]);
 }
 
@@ -211,8 +192,8 @@ fn budget_fraction_changes_the_budget() {
         budget_frac: 0.9,
         ..cfg(2, MechanismKind::None)
     };
-    let rt = Simulation::new(tight).run(Benchmark::X264).expect("run");
-    let rl = Simulation::new(loose).run(Benchmark::X264).expect("run");
+    let rt = run(tight, Benchmark::X264).expect("run");
+    let rl = run(loose, Benchmark::X264).expect("run");
     assert!(rt.budget.global < rl.budget.global);
     assert!(
         rt.aopb_tokens >= rl.aopb_tokens,

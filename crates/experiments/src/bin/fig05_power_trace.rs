@@ -24,16 +24,16 @@ fn main() {
         capture_trace: true,
         ..SimConfig::default()
     };
+    let spec = Benchmark::Barnes.spec(cfg.n_cores, cfg.scale);
+    let sim = Simulation::new(cfg);
     let report = if obs.enabled() {
         let mut stack = obs.stack();
-        let mut r = Simulation::new(cfg)
-            .run_observed(Benchmark::Barnes, &mut stack)
-            .expect("run");
+        let mut r = sim.run_spec_observed(&spec, &mut stack).expect("run");
         stack.merge_extra_metrics(&mut r.extra_metrics);
         obs.finish(&stack);
         r
     } else {
-        Simulation::new(cfg).run(Benchmark::Barnes).expect("run")
+        sim.run_spec(&spec).expect("run")
     };
     let trace = report.trace.as_ref().expect("trace captured");
 

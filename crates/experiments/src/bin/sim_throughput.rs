@@ -166,10 +166,12 @@ fn measure(bench: Benchmark, n_cores: usize, scale: Scale, median_of: usize) -> 
         #[cfg(feature = "alloc-telemetry")]
         let before = ptb_obs::alloc::snapshot();
         let t0 = Instant::now();
-        let report = sim.run(bench).unwrap_or_else(|e| {
-            eprintln!("error: {}/{n_cores}c failed: {e}", bench.name());
-            std::process::exit(1);
-        });
+        let report = sim
+            .run_spec(&bench.spec(n_cores, scale))
+            .unwrap_or_else(|e| {
+                eprintln!("error: {}/{n_cores}c failed: {e}", bench.name());
+                std::process::exit(1);
+            });
         walls.push(t0.elapsed().as_secs_f64().max(1e-9));
         #[cfg(feature = "alloc-telemetry")]
         {

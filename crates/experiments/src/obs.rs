@@ -128,8 +128,9 @@ impl ObsArgs {
         let mut stack = self.stack();
         let mut reports = Vec::with_capacity(jobs.len());
         for job in jobs {
+            let spec = job.bench.spec(job.config.n_cores, job.config.scale);
             let mut report = Simulation::new(job.config.clone())
-                .run_observed(job.bench, &mut stack)
+                .run_spec_observed(&spec, &mut stack)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", job.label()));
             stack.merge_extra_metrics(&mut report.extra_metrics);
             reports.push(Some(report));

@@ -161,7 +161,8 @@ impl FarmJob {
         if let Some(dl) = deadline {
             sim = sim.with_deadline(dl);
         }
-        sim.run(self.bench).map_err(|e| {
+        let spec = self.bench.spec(self.config.n_cores, self.config.scale);
+        sim.run_spec(&spec).map_err(|e| {
             let msg = format!("{}: {e}", self.label());
             match e {
                 SimError::DeadlineExceeded { .. } => JobFault::Timeout(msg),

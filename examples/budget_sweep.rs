@@ -19,6 +19,7 @@ fn main() {
         "{:>8}  {:>12}  {:>12}  {:>10}  {:>10}",
         "budget%", "energy (J)", "AoPB (J)", "cycles", "over-budget%"
     );
+    let spec = bench.spec(n_cores, Scale::Test);
     let mut baseline_cycles = None;
     for budget_pct in [90, 80, 70, 60, 50, 40] {
         let cfg = SimConfig {
@@ -31,7 +32,7 @@ fn main() {
             },
             ..SimConfig::default()
         };
-        let r = Simulation::new(cfg).run(bench).expect("run");
+        let r = Simulation::new(cfg).run_spec(&spec).expect("run");
         let base = *baseline_cycles.get_or_insert(r.cycles);
         println!(
             "{:>8}  {:>12.6}  {:>12.6}  {:>10}  {:>9.1}%   (slowdown vs 90%: {:+.1}%)",

@@ -22,8 +22,9 @@ fn main() {
         },
         ..SimConfig::default()
     };
+    let spec = Benchmark::Fft.spec(cfg.n_cores, cfg.scale);
     let report = Simulation::new(cfg)
-        .run(Benchmark::Fft)
+        .run_spec(&spec)
         .expect("simulation failed");
 
     println!("benchmark   : {}", report.benchmark);

@@ -15,6 +15,7 @@ use ptb_workloads::{Benchmark, Scale};
 fn main() {
     let n_cores = 4;
     let bench = Benchmark::Barnes;
+    let spec = bench.spec(n_cores, Scale::Test);
     let mk = |mech| {
         let cfg = SimConfig {
             n_cores,
@@ -22,7 +23,7 @@ fn main() {
             mechanism: mech,
             ..SimConfig::default()
         };
-        Simulation::new(cfg).run(bench).expect("run")
+        Simulation::new(cfg).run_spec(&spec).expect("run")
     };
     let base = mk(MechanismKind::None);
 

@@ -26,16 +26,17 @@ fn main() {
 
     // Every component on: a bounded event ring (tracing), named
     // counters, a conservation audit every 64 cycles, and wall-clock
-    // phase timing. Unobserved runs should call `run` instead, which
-    // uses `NullObserver` and compiles all of this away.
+    // phase timing. Unobserved runs should call `run_spec` instead,
+    // which uses `NullObserver` and compiles all of this away.
     let mut stack = ObsStack::new()
         .with_recorder(1 << 20)
         .with_counters()
         .with_audit(64)
         .with_profiler();
 
+    let spec = Benchmark::Fft.spec(cfg.n_cores, cfg.scale);
     let mut report = Simulation::new(cfg)
-        .run_observed(Benchmark::Fft, &mut stack)
+        .run_spec_observed(&spec, &mut stack)
         .expect("simulation failed");
     stack.merge_extra_metrics(&mut report.extra_metrics);
 

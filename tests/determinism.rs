@@ -19,7 +19,10 @@ fn cfg(n_cores: usize, mechanism: MechanismKind) -> SimConfig {
 }
 
 fn serialised(config: &SimConfig, bench: Benchmark) -> String {
-    let report = Simulation::new(config.clone()).run(bench).expect("run");
+    let spec = bench.spec(config.n_cores, config.scale);
+    let report = Simulation::new(config.clone())
+        .run_spec(&spec)
+        .expect("run");
     json::to_string(&report.to_value())
 }
 

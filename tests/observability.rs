@@ -17,6 +17,14 @@ fn cfg(n: usize, mech: MechanismKind) -> SimConfig {
     }
 }
 
+/// Run `bench` at the config's core count and scale through `obs`.
+fn observe<O: SimObserver>(c: SimConfig, bench: Benchmark, obs: &mut O) -> RunReport {
+    let spec = bench.spec(c.n_cores, c.scale);
+    Simulation::new(c)
+        .run_spec_observed(&spec, obs)
+        .expect("run")
+}
+
 fn ptb() -> MechanismKind {
     MechanismKind::PtbTwoLevel {
         policy: PtbPolicy::ToAll,
@@ -26,12 +34,11 @@ fn ptb() -> MechanismKind {
 
 #[test]
 fn run_report_survives_json_round_trip() {
-    let mut report = Simulation::new(SimConfig {
+    let trace_cfg = SimConfig {
         capture_trace: true,
         ..cfg(2, ptb())
-    })
-    .run(Benchmark::Fft)
-    .expect("run");
+    };
+    let mut report = observe(trace_cfg, Benchmark::Fft, &mut NullObserver);
     report.extra_metrics.insert("test.metric".into(), 42.5);
 
     let s = json::to_string(&report);
@@ -52,9 +59,11 @@ fn run_report_survives_json_round_trip() {
 #[test]
 fn run_report_without_extra_metrics_still_parses() {
     // Reports serialized before `extra_metrics` existed must load.
-    let report = Simulation::new(cfg(2, MechanismKind::None))
-        .run(Benchmark::Radix)
-        .expect("run");
+    let report = observe(
+        cfg(2, MechanismKind::None),
+        Benchmark::Radix,
+        &mut NullObserver,
+    );
     let s = json::to_string(&report);
     let stripped = s.replace(",\"extra_metrics\":{}", "");
     assert_ne!(stripped, s, "field should have been present");
@@ -79,9 +88,7 @@ fn power_trace_survives_json_round_trip() {
 #[test]
 fn chrome_trace_parses_back_with_expected_structure() {
     let mut stack = ObsStack::new().with_recorder(1 << 16);
-    Simulation::new(cfg(2, ptb()))
-        .run_observed(Benchmark::Fft, &mut stack)
-        .expect("run");
+    observe(cfg(2, ptb()), Benchmark::Fft, &mut stack);
     let rec = stack.recorder.as_ref().expect("recorder");
     assert!(!rec.is_empty(), "no events recorded");
 
@@ -120,16 +127,12 @@ fn chrome_trace_parses_back_with_expected_structure() {
 #[test]
 fn observed_run_matches_unobserved_run() {
     // The observer must not perturb the simulation itself.
-    let plain = Simulation::new(cfg(2, ptb()))
-        .run(Benchmark::Ocean)
-        .expect("run");
+    let plain = observe(cfg(2, ptb()), Benchmark::Ocean, &mut NullObserver);
     let mut stack = ObsStack::new()
         .with_recorder(1 << 16)
         .with_counters()
         .with_audit(64);
-    let observed = Simulation::new(cfg(2, ptb()))
-        .run_observed(Benchmark::Ocean, &mut stack)
-        .expect("run");
+    let observed = observe(cfg(2, ptb()), Benchmark::Ocean, &mut stack);
     assert_eq!(plain.cycles, observed.cycles);
     assert_eq!(plain.energy_tokens, observed.energy_tokens);
     assert_eq!(plain.committed(), observed.committed());
@@ -141,9 +144,7 @@ fn full_stack_populates_counters_and_audit_passes() {
         .with_recorder(1 << 16)
         .with_counters()
         .with_audit(32);
-    let mut report = Simulation::new(cfg(4, ptb()))
-        .run_observed(Benchmark::Barnes, &mut stack)
-        .expect("run");
+    let mut report = observe(cfg(4, ptb()), Benchmark::Barnes, &mut stack);
     stack.merge_extra_metrics(&mut report.extra_metrics);
 
     let counters = stack.counters.as_ref().expect("counters");
@@ -167,11 +168,11 @@ fn null_observer_is_disabled_at_compile_time() {
     }
     assert!(!enabled::<NullObserver>());
     // And a run through it equals the plain entry point.
-    let a = Simulation::new(cfg(2, MechanismKind::Dvfs))
-        .run(Benchmark::Fft)
-        .expect("run");
-    let b = Simulation::new(cfg(2, MechanismKind::Dvfs))
-        .run_observed(Benchmark::Fft, &mut NullObserver)
+    let spec = Benchmark::Fft.spec(2, Scale::Test);
+    let sim = Simulation::new(cfg(2, MechanismKind::Dvfs));
+    let a = sim.run_spec(&spec).expect("run");
+    let b = sim
+        .run_spec_observed(&spec, &mut NullObserver)
         .expect("run");
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.energy_tokens, b.energy_tokens);

@@ -13,7 +13,8 @@ fn run(n: usize, bench: Benchmark, mech: MechanismKind) -> ptb_core::RunReport {
         mechanism: mech,
         ..SimConfig::default()
     };
-    Simulation::new(cfg).run(bench).expect("run")
+    let spec = bench.spec(n, Scale::Test);
+    Simulation::new(cfg).run_spec(&spec).expect("run")
 }
 
 /// §IV.A headline: PTB matches the budget more accurately than DVFS and

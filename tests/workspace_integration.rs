@@ -2,7 +2,8 @@
 //! the way the examples and the experiment harness do.
 
 use ptb_core::report::{normalized_aopb_pct, normalized_energy_pct, slowdown_pct};
-use ptb_core::{MechanismKind, PtbConfig, PtbPolicy, SimConfig, Simulation};
+use ptb_core::sim::SimError;
+use ptb_core::{MechanismKind, PtbConfig, PtbPolicy, RunReport, SimConfig, Simulation};
 use ptb_isa::{BlockGenConfig, LockId};
 use ptb_metrics::{cores_within_tdp, mean, Table};
 use ptb_workloads::{
@@ -19,12 +20,16 @@ fn cfg(n: usize, mech: MechanismKind) -> SimConfig {
     }
 }
 
+/// Run `bench` at the config's core count and scale.
+fn run(c: SimConfig, bench: Benchmark) -> Result<RunReport, SimError> {
+    let spec = bench.spec(c.n_cores, c.scale);
+    Simulation::new(c).run_spec(&spec)
+}
+
 #[test]
 fn every_benchmark_runs_to_completion_at_two_cores() {
     for bench in Benchmark::ALL {
-        let r = Simulation::new(cfg(2, MechanismKind::None))
-            .run(bench)
-            .unwrap_or_else(|e| panic!("{bench}: {e}"));
+        let r = run(cfg(2, MechanismKind::None), bench).unwrap_or_else(|e| panic!("{bench}: {e}"));
         assert!(r.cycles > 0, "{bench} produced an empty run");
         assert!(r.committed() > 0);
         assert!(r.energy_tokens > 0.0);
@@ -37,12 +42,8 @@ fn every_benchmark_runs_to_completion_at_two_cores() {
 
 #[test]
 fn report_feeds_metrics_pipeline() {
-    let base = Simulation::new(cfg(2, MechanismKind::None))
-        .run(Benchmark::X264)
-        .expect("run");
-    let mech = Simulation::new(cfg(2, MechanismKind::Dvfs))
-        .run(Benchmark::X264)
-        .expect("run");
+    let base = run(cfg(2, MechanismKind::None), Benchmark::X264).expect("run");
+    let mech = run(cfg(2, MechanismKind::Dvfs), Benchmark::X264).expect("run");
     // The three normalisations the figures use are finite and consistent.
     let e = normalized_energy_pct(&base, &mech);
     let a = normalized_aopb_pct(&base, &mech);
@@ -118,23 +119,23 @@ fn ptb_config_knobs_are_respected() {
         overhead_frac: 0.02,
         ..PtbConfig::default()
     };
-    let r = Simulation::new(c).run(Benchmark::Watersp).expect("run");
+    let r = run(c, Benchmark::Watersp).expect("run");
     assert!(r.cycles > 0);
 }
 
 #[test]
 fn tdp_math_consumes_measured_errors() {
-    let base = Simulation::new(cfg(2, MechanismKind::None))
-        .run(Benchmark::Swaptions)
-        .expect("run");
-    let ptb = Simulation::new(cfg(
-        2,
-        MechanismKind::PtbTwoLevel {
-            policy: PtbPolicy::Dynamic,
-            relax: 0.0,
-        },
-    ))
-    .run(Benchmark::Swaptions)
+    let base = run(cfg(2, MechanismKind::None), Benchmark::Swaptions).expect("run");
+    let ptb = run(
+        cfg(
+            2,
+            MechanismKind::PtbTwoLevel {
+                policy: PtbPolicy::Dynamic,
+                relax: 0.0,
+            },
+        ),
+        Benchmark::Swaptions,
+    )
     .expect("run");
     let err = normalized_aopb_pct(&base, &ptb) / 100.0;
     let cores = cores_within_tdp(100.0, 3.125, err);
@@ -150,8 +151,7 @@ fn mechanisms_do_not_change_architectural_work() {
     // Power control changes *when* things happen, never *what* executes:
     // committed instruction counts are identical across mechanisms.
     let count = |mech| {
-        Simulation::new(cfg(2, mech))
-            .run(Benchmark::Blackscholes)
+        run(cfg(2, mech), Benchmark::Blackscholes)
             .expect("run")
             .committed()
     };
@@ -180,9 +180,7 @@ fn mechanisms_do_not_change_architectural_work() {
 fn core_count_scaling_shows_more_spinning() {
     // Figure 3's headline: spinning grows with the core count.
     let spin_frac = |n: usize| {
-        let r = Simulation::new(cfg(n, MechanismKind::None))
-            .run(Benchmark::Radix)
-            .expect("run");
+        let r = run(cfg(n, MechanismKind::None), Benchmark::Radix).expect("run");
         let spin: u64 = r.cores.iter().map(|c| c.spin_cycles).sum();
         spin as f64 / (r.cycles as f64 * n as f64)
     };
@@ -199,23 +197,27 @@ fn spin_gated_ptb_saves_energy_on_contended_workload() {
     // The paper's future-work extension: gating detected spinners should
     // save energy relative to plain PTB on a lock-heavy benchmark.
     let bench = Benchmark::Unstructured;
-    let ptb = Simulation::new(cfg(
-        4,
-        MechanismKind::PtbTwoLevel {
-            policy: PtbPolicy::ToAll,
-            relax: 0.0,
-        },
-    ))
-    .run(bench)
+    let ptb = run(
+        cfg(
+            4,
+            MechanismKind::PtbTwoLevel {
+                policy: PtbPolicy::ToAll,
+                relax: 0.0,
+            },
+        ),
+        bench,
+    )
     .expect("run");
-    let gated = Simulation::new(cfg(
-        4,
-        MechanismKind::PtbSpinGate {
-            policy: PtbPolicy::ToAll,
-            relax: 0.0,
-        },
-    ))
-    .run(bench)
+    let gated = run(
+        cfg(
+            4,
+            MechanismKind::PtbSpinGate {
+                policy: PtbPolicy::ToAll,
+                relax: 0.0,
+            },
+        ),
+        bench,
+    )
     .expect("run");
     assert!(
         gated.energy_tokens <= ptb.energy_tokens * 1.02,
@@ -238,7 +240,7 @@ fn clustered_balancer_runs_a_32_core_cmp() {
         },
     );
     c.ptb.cluster_size = Some(16);
-    let r = Simulation::new(c).run(Benchmark::Watersp).expect("run");
+    let r = run(c, Benchmark::Watersp).expect("run");
     assert_eq!(r.n_cores, 32);
     assert!(r.committed() > 0);
     // All 32 threads finished the same program.
