@@ -148,25 +148,6 @@ impl StreamEnv for FabricEnv<'_> {
     }
 }
 
-/// Wall-clock phase timing for observers that want it: each `mark`
-/// charges the time since the previous mark to a phase. When off, it
-/// never reads the clock.
-struct PhaseClock(Option<Instant>);
-
-impl PhaseClock {
-    fn start(on: bool) -> Self {
-        PhaseClock(on.then(Instant::now))
-    }
-
-    fn mark<O: SimObserver>(&mut self, obs: &mut O, phase: Phase) {
-        if let Some(last) = &mut self.0 {
-            let now = Instant::now();
-            obs.on_phase_time(phase, now.duration_since(*last).as_nanos() as u64);
-            *last = now;
-        }
-    }
-}
-
 /// A chip running one workload: the cores, the memory system, the
 /// synchronisation fabric and the mechanism, plus the accounting that
 /// becomes the [`RunReport`]. [`Chip::step`] advances every part in
@@ -306,33 +287,42 @@ impl<'a> Chip<'a> {
     fn step<O: SimObserver>(&mut self, obs: &mut O) -> Result<bool, SimError> {
         self.cycle += 1;
         self.check_limits()?;
-        let mut clock = PhaseClock::start(O::ENABLED && self.profile);
+        // Each mark charges the time since the previous one to a phase;
+        // with timing off, the clock is never read.
+        let mut last = (O::ENABLED && self.profile).then(Instant::now);
+        let mut mark = |obs: &mut O, phase: Phase| {
+            if let Some(last) = &mut last {
+                let now = Instant::now();
+                obs.on_phase_time(phase, now.duration_since(*last).as_nanos() as u64);
+                *last = now;
+            }
+        };
 
         // Phase 1 is timed at the NoC/event boundary, so that profiles
         // attribute interconnect time apart from the event wheel.
         self.mem.advance_noc();
-        clock.mark(obs, Phase::Noc);
+        mark(obs, Phase::Noc);
         self.deliver_memory();
-        clock.mark(obs, Phase::MemTick);
+        mark(obs, Phase::MemTick);
 
         // RMW execution counts as core tick.
         self.execute_rmws();
         self.tick_cores(obs);
-        clock.mark(obs, Phase::CoreTick);
+        mark(obs, Phase::CoreTick);
 
         let mem_act = self.mem.take_activity();
         let (uncore, chip) = self.sample_power(&mem_act);
-        clock.mark(obs, Phase::PowerSample);
+        mark(obs, Phase::PowerSample);
         if O::ENABLED {
             self.observe_power(obs, &mem_act, uncore, chip);
-            clock.mark(obs, Phase::Observer);
+            mark(obs, Phase::Observer);
         }
 
         // Bookkeeping and the watchdog count as mechanism.
         let (unfinished, spinning) = self.bookkeeping(obs);
         self.watchdog(unfinished, spinning)?;
         self.control(obs, uncore, chip);
-        clock.mark(obs, Phase::Mechanism);
+        mark(obs, Phase::Mechanism);
         Ok(unfinished == 0)
     }
 

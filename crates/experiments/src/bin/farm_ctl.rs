@@ -179,7 +179,28 @@ fn main() {
             }
             print_counters(farm);
         }
-        "digests" => print_digests(farm),
+        "digests" => {
+            // One `key digest` line per entry, sorted by key, for a diff
+            // against tests/goldens/sweep_digests.txt.
+            let keys = farm.store().keys().unwrap_or_else(|e| {
+                eprintln!("error: cannot list the store: {e}");
+                std::process::exit(1);
+            });
+            for key in keys {
+                match farm.store().read_entry(&key) {
+                    Ok(Some((_, report))) => {
+                        let digest = digest_hex(json::to_string(&report.to_value()).as_bytes());
+                        println!("{key} {digest}");
+                    }
+                    // Removed between the listing and the read.
+                    Ok(None) => {}
+                    Err(e) => {
+                        eprintln!("error: entry {key}: {e}");
+                        std::process::exit(1);
+                    }
+                }
+            }
+        }
         other => {
             eprintln!(
                 "error: unknown subcommand {other:?} (status|resume|verify|gc|digests|workers)"
@@ -309,29 +330,6 @@ fn print_status_json(farm: &ptb_farm::Farm) {
     obj.insert("pending".into(), Value::U64(pending.len() as u64));
     obj.insert("quarantined".into(), Value::U64(quarantined.len() as u64));
     println!("{}", json::to_string(&Value::Object(obj)));
-}
-
-/// `digests`: one `key digest` line per store entry, sorted by key, for
-/// a diff against `tests/goldens/sweep_digests.txt`.
-fn print_digests(farm: &ptb_farm::Farm) {
-    let keys = farm.store().keys().unwrap_or_else(|e| {
-        eprintln!("error: cannot list the store: {e}");
-        std::process::exit(1);
-    });
-    for key in keys {
-        match farm.store().read_entry(&key) {
-            Ok(Some((_, report))) => {
-                let digest = digest_hex(json::to_string(&report.to_value()).as_bytes());
-                println!("{key} {digest}");
-            }
-            // Removed between the listing and the read.
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("error: entry {key}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }
 
 fn print_counters(farm: &ptb_farm::Farm) {

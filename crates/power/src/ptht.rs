@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn cold_table_estimates_zero() {
-        let mut t = Ptht::new(1024);
+        let t = Ptht::new(1024);
         assert_eq!(t.estimate(0x4000), 0.0);
     }
 

@@ -336,7 +336,6 @@ impl Core {
     fn next_mem_req(&mut self, kind: CoreMemKind, addr: Addr) -> u64 {
         let id = self.next_mem_id;
         self.next_mem_id += 1;
-        self.stats.mem_requests += 1;
         self.mem_out.push(CoreMemReq { id, kind, addr });
         id
     }
@@ -548,7 +547,6 @@ impl Core {
                 break;
             }
             if self.rob.len() >= rob_cap {
-                self.stats.rob_full_cycles += 1;
                 break;
             }
             if front.inst.kind.is_mem() && self.lsq_count >= self.cfg.lsq_size {
@@ -632,12 +630,10 @@ impl Core {
         }
         if self.redirect_block.is_some() {
             // The front-end runs down the wrong path until redirect.
-            self.stats.mispredict_stall_cycles += 1;
             act.wrongpath += self.cfg.fetch_width as u32;
             return;
         }
         if self.icache_stall_until > self.now {
-            self.stats.icache_stall_cycles += 1;
             return;
         }
         let cap = (self.cfg.frontend_depth as usize + 2) * self.cfg.fetch_width;
@@ -650,10 +646,7 @@ impl Core {
                     self.stream_done = true;
                     break;
                 }
-                Fetch::Stall => {
-                    self.stats.stream_stall_cycles += 1;
-                    break;
-                }
+                Fetch::Stall => break,
                 Fetch::Inst(inst) => {
                     debug_assert!(inst.validate().is_ok(), "invalid instruction from stream");
                     // I-cache probe: a miss fills the line and stalls fetch
@@ -662,7 +655,8 @@ impl Core {
                     if !self.icache.fetch(inst.pc) {
                         self.icache_stall_until = self.now + self.icache.miss_penalty();
                     }
-                    // The fetch-time PTHT read is charged as energy.
+                    // Hardware reads the PTHT at fetch. The simulator needs
+                    // no estimate, but the read's energy is still charged.
                     act.ptht_accesses += 1;
                     let seq = self.seq;
                     self.seq += 1;

@@ -15,18 +15,8 @@ pub struct CoreStats {
     pub branches: u64,
     /// Branch mispredictions.
     pub mispredicts: u64,
-    /// Cycles fetch was blocked on a pending branch redirect.
-    pub mispredict_stall_cycles: u64,
-    /// Cycles fetch was blocked on an I-cache cold miss.
-    pub icache_stall_cycles: u64,
-    /// Cycles fetch was blocked because the ROB was full.
-    pub rob_full_cycles: u64,
-    /// Cycles the stream had nothing to offer (waiting on an RMW).
-    pub stream_stall_cycles: u64,
     /// Loads satisfied by store-buffer forwarding.
     pub store_forwards: u64,
-    /// Memory requests sent.
-    pub mem_requests: u64,
 }
 
 impl CoreStats {
