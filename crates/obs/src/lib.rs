@@ -6,8 +6,9 @@
 //! `const ENABLED` flag, every hook site in `ptb-core` is guarded by
 //! `if O::ENABLED { ... }`, and the default [`NullObserver`] sets it to
 //! `false` — monomorphisation removes the hook code entirely, so an
-//! unobserved run pays nothing (verified by `obs_overhead` in
-//! `crates/bench`).
+//! unobserved run has no hook code left to pay for
+//! (`tests/observability.rs` checks that `NullObserver` is disabled at
+//! compile time and that observing a run does not change it).
 //!
 //! Concrete observers, composable through [`ObsStack`]:
 //!
