@@ -5,9 +5,8 @@
 //! partition of the batch leaves workers idle. Each worker owns a deque
 //! seeded round-robin; it pops work from its own front and, when empty,
 //! steals from the back of the fullest victim — the classic
-//! owner-LIFO/thief-FIFO discipline, built on `crossbeam` scoped
-//! threads and mutexed deques (the vendored crossbeam exposes scoped
-//! threads only; contention is irrelevant here because each task is a
+//! owner-LIFO/thief-FIFO discipline, built on `std::thread::scope` and
+//! mutexed deques (contention is irrelevant here because each task is a
 //! whole cycle-level simulation).
 //!
 //! ## Failure containment
@@ -23,11 +22,12 @@
 //! the sweep.
 
 use crate::error::JobError;
-use parking_lot::Mutex;
+use crate::sync::lock;
 use ptb_obs::CounterRegistry;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Bounded retry with exponential backoff for transient faults.
@@ -172,7 +172,7 @@ impl ExecStats {
 
     fn note_backoff(&self, backoff: Duration) {
         self.retry_sleeps.fetch_add(1, Ordering::Relaxed);
-        self.backoffs_ms.lock().push(backoff.as_secs_f64() * 1e3);
+        lock(&self.backoffs_ms).push(backoff.as_secs_f64() * 1e3);
     }
 
     fn note_queue_depth(&self, depth: u64) {
@@ -216,7 +216,7 @@ impl ExecStats {
             "farm.exec.retry.sleeps",
             self.retry_sleeps.load(Ordering::Relaxed) as f64,
         );
-        let backoffs = self.backoffs_ms.lock();
+        let backoffs = lock(&self.backoffs_ms);
         if !backoffs.is_empty() {
             c.set(
                 "farm.exec.retry.backoff_ms_p50",
@@ -285,7 +285,7 @@ where
     let deques: Vec<Mutex<VecDeque<(usize, &T)>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     for (i, item) in items.iter().enumerate() {
-        deques[i % workers].lock().push_back((i, item));
+        lock(&deques[i % workers]).push_back((i, item));
     }
     if let Some(s) = stats {
         s.note_queue_depth(n.div_ceil(workers) as u64);
@@ -293,16 +293,16 @@ where
     let results: Vec<Mutex<Option<Result<R, JobError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for me in 0..workers {
             let deques = &deques;
             let results = &results;
             let f = &f;
-            s.spawn(move |_| loop {
+            s.spawn(move || loop {
                 // Release the own-deque guard before stealing: holding
                 // it while locking a victim would deadlock two thieves
                 // eyeing each other's (empty) deques.
-                let mut task = deques[me].lock().pop_front();
+                let mut task = lock(&deques[me]).pop_front();
                 if task.is_none() {
                     task = steal(deques, me);
                     if let Some(st) = stats {
@@ -314,18 +314,21 @@ where
                     }
                 }
                 let Some((idx, item)) = task else { break };
-                *results[idx].lock() = Some(timed_job(item, cfg, stats, f));
+                *lock(&results[idx]) = Some(timed_job(item, cfg, stats, f));
             });
         }
-    })
-    .expect("farm executor thread panicked outside catch_unwind");
+    });
 
     if let Some(s) = stats {
         s.note_batch(n, workers, batch_t0.elapsed());
     }
     results
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every task ran"))
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every task ran")
+        })
         .collect()
 }
 
@@ -415,9 +418,9 @@ fn steal<'a, T>(deques: &[Mutex<VecDeque<(usize, &'a T)>>], me: usize) -> Option
         .iter()
         .enumerate()
         .filter(|(i, _)| *i != me)
-        .max_by_key(|(_, d)| d.lock().len())?
+        .max_by_key(|(_, d)| lock(d).len())?
         .0;
-    deques[victim].lock().pop_back()
+    lock(&deques[victim]).pop_back()
 }
 
 #[cfg(test)]

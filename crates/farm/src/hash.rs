@@ -22,6 +22,7 @@
 //! [`SiteRolls`], the seeded per-site fault roll behind `ChaosIo` and
 //! `ChaosNet`.
 
+use crate::sync::lock;
 use ptb_core::SimConfig;
 use ptb_workloads::{Benchmark, Scale, WorkloadSpec};
 use serde::{json, Map, Serialize, Value};
@@ -77,7 +78,7 @@ impl SiteRolls {
     pub fn roll(&self, a: &[u8], b: &[u8]) -> f64 {
         let site = fnv1a64(a) ^ fnv1a64(b);
         let ordinal = {
-            let mut m = self.ordinals.lock().expect("chaos ordinal lock");
+            let mut m = lock(&self.ordinals);
             let n = m.entry(site).or_insert(0);
             *n += 1;
             *n
@@ -170,11 +171,11 @@ fn workload_json(bench: Benchmark, n_cores: usize, scale: Scale) -> Arc<str> {
             .find(|(t, _)| *t == triple)
             .map(|(_, json)| json.clone())
     };
-    if let Some(hit) = find(&WORKLOAD_JSON.lock().expect("workload cache lock")) {
+    if let Some(hit) = find(&lock(&WORKLOAD_JSON)) {
         return hit;
     }
     let built: Arc<str> = json::to_string(&bench.spec(n_cores, scale)).into();
-    let mut cache = WORKLOAD_JSON.lock().expect("workload cache lock");
+    let mut cache = lock(&WORKLOAD_JSON);
     if let Some(raced) = find(&cache) {
         return raced;
     }
@@ -270,7 +271,7 @@ mod tests {
                 }
             }
         }
-        let cache = WORKLOAD_JSON.lock().unwrap();
+        let cache = lock(&WORKLOAD_JSON);
         assert!(cache.len() <= WORKLOAD_CACHE_CAP);
     }
 

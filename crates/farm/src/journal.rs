@@ -24,13 +24,13 @@
 
 use crate::error::FarmError;
 use crate::io::{FarmIo, RealIo};
+use crate::sync::lock;
 use crate::FarmJob;
-use parking_lot::Mutex;
 use serde::{json, Deserialize, Map, Serialize, Value};
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Batch outcome counters journalled as `{"stats":{…}}` lines so
 /// `farm_ctl status` can report hit/miss traffic across processes.
@@ -127,7 +127,7 @@ impl Journal {
     fn append(&self, v: &Value) -> Result<(), FarmError> {
         let mut line = json::to_string(v);
         line.push('\n');
-        let mut file = self.file.lock();
+        let mut file = lock(&self.file);
         self.io
             .append_line(&mut file, &line, &self.path)
             .map_err(|e| FarmError::io("append journal", &self.path, e))

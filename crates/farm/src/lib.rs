@@ -85,6 +85,7 @@ pub mod journal;
 pub mod quarantine;
 pub mod stats;
 pub mod store;
+pub mod sync;
 
 pub use error::{FarmError, JobError};
 pub use exec::{ExecConfig, ExecStats, JobCtx, JobFault, RetryPolicy};
@@ -93,6 +94,7 @@ pub use journal::{Journal, JournalStats};
 pub use quarantine::{Quarantine, QuarantineEntry, QUARANTINE_FILE};
 pub use stats::{FarmSnapshot, FarmStats};
 pub use store::{ResultStore, StoreDiskStats, StoreLookup, STORE_FORMAT};
+pub use sync::{lock, poisoned_locks, wait_timeout};
 
 use ptb_core::sim::SimError;
 use ptb_core::{RunReport, SimConfig, Simulation};

@@ -72,13 +72,6 @@ impl Quarantine {
         }
     }
 
-    /// A manifest at an explicit path.
-    pub fn at(path: impl AsRef<Path>) -> Self {
-        Quarantine {
-            path: path.as_ref().to_path_buf(),
-        }
-    }
-
     /// Location of the manifest file.
     pub fn path(&self) -> &Path {
         &self.path

@@ -32,6 +32,7 @@
 use crate::binfmt;
 use crate::error::FarmError;
 use crate::io::{FarmIo, RealIo};
+use crate::sync::lock;
 use crate::FarmJob;
 use ptb_core::RunReport;
 use serde::{json, Deserialize, Serialize, Value};
@@ -157,7 +158,7 @@ impl ResultStore {
         // number), so ChaosIo's per-path fault sites stay replayable
         // regardless of how unrelated keys interleave.
         let seq = {
-            let mut m = self.write_seq.lock().expect("write seq lock");
+            let mut m = lock(&self.write_seq);
             let n = m.entry(key.to_owned()).or_insert(0);
             *n += 1;
             *n

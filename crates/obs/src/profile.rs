@@ -1,9 +1,8 @@
 //! Wall-clock phase profiling.
 
-use crate::{Phase, RunEnd, SimObserver};
+use crate::{Phase, SimObserver};
 use ptb_metrics::{Histogram, Table};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Upper edge of the per-sample latency histograms, in nanoseconds.
 /// One phase of one simulated cycle rarely exceeds a few microseconds;
@@ -21,13 +20,7 @@ const HIST_BINS: usize = 256;
 ///
 /// Besides the flat per-phase totals fed by [`SimObserver::on_phase_time`],
 /// the profiler keeps a [`Histogram`] of per-sample latencies for each
-/// phase (so tails are visible, not just means) and offers a scoped
-/// [`PhaseProfiler::enter`] / [`PhaseProfiler::exit`] API for code that
-/// wants nested attribution: entering a phase while another is open
-/// charges the parent its elapsed *self time* so far, so nested time is
-/// never double-counted. Unbalanced `exit` calls (and frames still open
-/// at run end) are tolerated and counted in
-/// [`PhaseProfiler::unbalanced`].
+/// phase, so tails are visible, not just means.
 ///
 /// The measurement itself costs a handful of `Instant::now()` calls per
 /// simulated cycle, so enable it for profiling runs, not for
@@ -37,8 +30,6 @@ pub struct PhaseProfiler {
     nanos: [u64; Phase::COUNT],
     samples: [u64; Phase::COUNT],
     hists: Vec<Histogram>,
-    stack: Vec<(Phase, Instant)>,
-    unbalanced: u64,
 }
 
 impl Default for PhaseProfiler {
@@ -50,8 +41,6 @@ impl Default for PhaseProfiler {
                 .iter()
                 .map(|_| Histogram::new(0.0, HIST_MAX_NANOS, HIST_BINS))
                 .collect(),
-            stack: Vec::new(),
-            unbalanced: 0,
         }
     }
 }
@@ -67,54 +56,6 @@ impl PhaseProfiler {
         self.nanos[phase.index()] += nanos;
         self.samples[phase.index()] += 1;
         self.hists[phase.index()].record(nanos as f64);
-    }
-
-    /// Begin a scoped `phase` frame. If another frame is open, the
-    /// parent is charged its self time so far (its clock restarts when
-    /// this frame exits), so nesting attributes each nanosecond to
-    /// exactly one phase.
-    pub fn enter(&mut self, phase: Phase) {
-        let now = Instant::now();
-        if let Some((parent, started)) = self.stack.last_mut() {
-            let elapsed = now.duration_since(*started).as_nanos() as u64;
-            let parent = *parent;
-            *started = now;
-            self.record(parent, elapsed);
-        }
-        self.stack.push((phase, now));
-    }
-
-    /// End the innermost scoped frame, charging it the time since its
-    /// `enter` (or since its last child exited). Returns the phase that
-    /// was closed, or `None` on an unbalanced `exit` (which is counted,
-    /// not panicked on).
-    pub fn exit(&mut self) -> Option<Phase> {
-        let now = Instant::now();
-        match self.stack.pop() {
-            Some((phase, started)) => {
-                let elapsed = now.duration_since(started).as_nanos() as u64;
-                self.record(phase, elapsed);
-                if let Some((_, resumed)) = self.stack.last_mut() {
-                    *resumed = now;
-                }
-                Some(phase)
-            }
-            None => {
-                self.unbalanced += 1;
-                None
-            }
-        }
-    }
-
-    /// Current scoped-frame nesting depth.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Number of unbalanced frame events seen: `exit` with no open
-    /// frame, plus frames still open when the run ended.
-    pub fn unbalanced(&self) -> u64 {
-        self.unbalanced
     }
 
     /// Total nanoseconds attributed to `phase`.
@@ -165,9 +106,6 @@ impl PhaseProfiler {
             );
         }
         m.insert("profile.total_ms".into(), self.total_nanos() as f64 / 1.0e6);
-        if self.unbalanced > 0 {
-            m.insert("profile.unbalanced_frames".into(), self.unbalanced as f64);
-        }
         m
     }
 
@@ -221,15 +159,6 @@ impl SimObserver for PhaseProfiler {
     fn on_phase_time(&mut self, phase: Phase, nanos: u64) {
         self.record(phase, nanos);
     }
-
-    fn on_run_end(&mut self, _end: &RunEnd) {
-        // Frames left open at run end are unbalanced: close them so
-        // their time is not lost, and count them.
-        while !self.stack.is_empty() {
-            self.unbalanced += 1;
-            self.exit();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -274,54 +203,6 @@ mod tests {
         assert!(p99 >= 59_000.0, "p99 = {p99}");
         // Untouched phase reports 0, not NaN.
         assert_eq!(p.quantile_nanos(Phase::Noc, 0.95), 0.0);
-    }
-
-    #[test]
-    fn nested_frames_attribute_self_time_once() {
-        let mut p = PhaseProfiler::new();
-        p.enter(Phase::CoreTick);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        p.enter(Phase::Observer); // parent charged up to here
-        assert_eq!(p.depth(), 2);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert_eq!(p.exit(), Some(Phase::Observer));
-        assert_eq!(p.exit(), Some(Phase::CoreTick));
-        assert_eq!(p.depth(), 0);
-        assert_eq!(p.unbalanced(), 0);
-        let core = p.nanos(Phase::CoreTick);
-        let obs = p.nanos(Phase::Observer);
-        assert!(core >= 1_000_000, "core self time = {core}");
-        assert!(obs >= 1_000_000, "observer time = {obs}");
-        // Self-time attribution: total is the sum of disjoint intervals,
-        // so neither bucket contains the other's sleep.
-        assert_eq!(p.total_nanos(), core + obs);
-        // The parent phase was charged in two pieces (pre-child, post-child).
-        assert_eq!(p.samples(Phase::CoreTick), 2);
-        assert_eq!(p.samples(Phase::Observer), 1);
-    }
-
-    #[test]
-    fn unbalanced_exit_is_counted_not_fatal() {
-        let mut p = PhaseProfiler::new();
-        assert_eq!(p.exit(), None);
-        assert_eq!(p.unbalanced(), 1);
-        assert_eq!(p.total_nanos(), 0);
-    }
-
-    #[test]
-    fn open_frames_at_run_end_are_closed_and_counted() {
-        use crate::{RunEnd, SimObserver};
-        let mut p = PhaseProfiler::new();
-        p.enter(Phase::Mechanism);
-        p.enter(Phase::Observer);
-        p.on_run_end(&RunEnd {
-            cycles: 1,
-            energy_tokens: 0.0,
-        });
-        assert_eq!(p.depth(), 0);
-        assert_eq!(p.unbalanced(), 2);
-        assert_eq!(p.samples(Phase::Mechanism) + p.samples(Phase::Observer), 3);
-        assert_eq!(p.as_map()["profile.unbalanced_frames"], 2.0);
     }
 
     #[test]

@@ -125,18 +125,15 @@ fn status(state: &Arc<ServeState>) -> Response {
     jobs.insert("done".into(), Value::U64(done));
     jobs.insert("failed".into(), Value::U64(failed));
     obj.insert("jobs".into(), Value::Object(jobs));
-    obj.insert(
-        "leases".into(),
-        Value::U64(state.fleet.lease_count() as u64),
-    );
+    obj.insert("leases".into(), Value::U64(state.lease_count() as u64));
     obj.insert(
         "workers".into(),
-        Value::U64(state.fleet.workers_snapshot().len() as u64),
+        Value::U64(state.workers_snapshot().len() as u64),
     );
     obj.insert("remote_active".into(), Value::Bool(state.remote_active()));
     // Divergent completions are a hard error: a deterministic
     // simulation uploaded under the same content key MUST byte-match.
-    let divergent = state.fleet.divergent_snapshot();
+    let divergent = state.divergent_snapshot();
     obj.insert(
         "divergent".into(),
         Value::Array(
@@ -160,7 +157,7 @@ fn status(state: &Arc<ServeState>) -> Response {
 /// `farm_ctl workers`.
 fn workers(state: &Arc<ServeState>) -> Response {
     let grace = state.config().worker_grace;
-    let mut workers: Vec<(String, crate::fleet::WorkerRec)> = state.fleet.workers_snapshot();
+    let mut workers: Vec<(String, crate::fleet::WorkerRec)> = state.workers_snapshot();
     workers.sort_by(|a, b| a.0.cmp(&b.0));
     let mut obj = Map::new();
     obj.insert(
@@ -184,12 +181,11 @@ fn workers(state: &Arc<ServeState>) -> Response {
                 .collect(),
         ),
     );
-    let mut leases: Vec<(String, crate::fleet::LeaseRec)> = state.fleet.leases_snapshot();
-    leases.sort_by(|a, b| a.0.cmp(&b.0));
     obj.insert(
         "leases".into(),
         Value::Array(
-            leases
+            state
+                .leases_snapshot()
                 .into_iter()
                 .map(|(key, l)| {
                     let mut m = Map::new();
@@ -628,5 +624,78 @@ fn work_fail(state: &Arc<ServeState>, req: &Request, key: &str) -> Response {
         Ok(FailOutcome::Quarantined) => ok_outcome("quarantined"),
         Err(FleetRefusal::LeaseLost) => Response::error(409, "lease lost"),
         Err(FleetRefusal::Bad(msg)) => Response::error(400, &msg),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::Body;
+    use crate::state::ServeConfig;
+    use ptb_core::MechanismKind;
+    use ptb_farm::Farm;
+    use ptb_workloads::Scale;
+
+    fn call(state: &Arc<ServeState>, method: &str, path: &str, body: &str) -> (u16, Value) {
+        let req = Request {
+            method: method.to_owned(),
+            path: path.to_owned(),
+            query: Vec::new(),
+            body: body.to_owned(),
+        };
+        let resp = handle(state, &req, 0);
+        let value = match &resp.body {
+            Body::Bytes(b) => json::parse(&String::from_utf8_lossy(b)).unwrap_or(Value::Null),
+            Body::Stream(_) => Value::Null,
+        };
+        (resp.status, value)
+    }
+
+    #[test]
+    fn a_poisoned_registry_costs_no_later_request() {
+        let dir = std::env::temp_dir().join(format!("ptb-serve-poison-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let farm = Farm::open(&dir).expect("open farm");
+        let job = FarmJob::new(
+            Benchmark::Fft,
+            SimConfig {
+                n_cores: 2,
+                scale: Scale::Test,
+                mechanism: MechanismKind::None,
+                ..SimConfig::default()
+            },
+        );
+        farm.run_batch(std::slice::from_ref(&job), 1);
+        let state = Arc::new(ServeState::new(Arc::new(farm), ServeConfig::default()));
+
+        let before = ptb_farm::poisoned_locks();
+        let holder = state.clone();
+        let died = std::thread::spawn(move || {
+            let _registry = holder.registry();
+            panic!("a request dies holding the registry");
+        })
+        .join();
+        assert!(died.is_err());
+
+        let key = job.key();
+        let body = format!("{{\"jobs\":[{}]}}", json::to_string(&job.to_value()));
+        let (status, v) = call(&state, "POST", "/v1/batches", &body);
+        assert_eq!(status, 200, "submit: {v:?}");
+        for path in [format!("/v1/jobs/{key}"), "/v1/batches/b1".to_owned()] {
+            let (status, v) = call(&state, "GET", &path, "");
+            assert_eq!(status, 200, "poll {path}: {v:?}");
+        }
+        let (status, v) = call(&state, "GET", &format!("/v1/reports/{key}"), "");
+        assert_eq!(status, 200, "report: {v:?}");
+        assert_eq!(call(&state, "GET", "/healthz", "").0, 200);
+
+        let (_, metrics) = call(&state, "GET", "/v1/metrics", "");
+        let poisoned = metrics
+            .as_object()
+            .and_then(|m| m.get("serve.lock.poisoned"))
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0);
+        assert!(poisoned >= (before + 1) as f64, "poisoned = {poisoned}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,7 @@
-//! Fleet execution: the lease table behind the `/v1/work/*` endpoints.
+//! Fleet execution: the leases behind the `/v1/work/*` endpoints.
 //!
 //! Remote `ptb_worker` processes *pull* work — the server never dials
-//! out. A claim moves a queued job to `Leased(worker)` under a
+//! out. A claim moves a queued job to `Leased(lease)` under a
 //! monotonic-clock TTL; heartbeats extend it; `complete` uploads the
 //! report (verified against the content-addressed key, then committed
 //! through the same store path as local execution); `fail` maps the
@@ -24,31 +24,37 @@
 //!
 //! ## Races, and why they are safe
 //!
-//! * **Complete vs. local drain**: the committing thread flips the job
-//!   to `Leased` and pulls its key out of the submission queue *inside
-//!   the jobs lock, before the store write*; the scheduler drains only
-//!   keys still `Queued`, so a job cannot simultaneously run locally
-//!   and commit remotely.
-//! * **Concurrent duplicate completes**: a per-key `completing` guard
-//!   turns the loser into a 503 retry, which then lands in the
-//!   byte-compare path above.
+//! A lease is the `Leased` state of its job in the registry
+//! (`state.rs`), and every endpoint below reads and changes the job in
+//! one critical section of the registry lock, so a job and its lease
+//! never disagree.
+//!
+//! * **Complete vs. local drain**: the upload takes the job — a
+//!   `Leased` state with `committing` set — and unlinks its queue entry
+//!   in one critical section, before the store write; the scheduler
+//!   drains only keys still `Queued`, so a job cannot simultaneously
+//!   run locally and commit remotely.
+//! * **Concurrent duplicate completes**: an upload that finds a commit
+//!   in flight gets a 503 retry, which then lands in the byte-compare
+//!   path above. The reaper and `fail` leave a committing job alone.
+//! * **Failed commit**: a transient store fault requeues the job, which
+//!   ends its lease; the former holder's heartbeat and `fail` are then
+//!   refused (409) like any lost lease's.
 //! * **Zombie worker after reassignment**: a worker whose lease
 //!   expired (and whose job was reclaimed) may still finish and
 //!   upload. Whoever commits first wins; the other lands in the
 //!   duplicate path. Results are content-addressed, so "first" and
 //!   "second" are byte-identical by construction.
 
-use crate::state::{JobState, ServeState};
+use crate::state::{JobState, Registry, ServeState};
 use ptb_core::RunReport;
 use ptb_farm::{FarmJob, JobError, StoreLookup};
 use serde::{json, Map, Serialize, Value};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// One live lease.
-#[derive(Debug, Clone)]
+/// One live lease: the state of a `Leased` job.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseRec {
     /// Worker holding the lease.
     pub worker: String,
@@ -60,6 +66,21 @@ pub struct LeaseRec {
     pub heartbeats: u64,
     /// Free-form progress string from the last heartbeat.
     pub progress: Option<String>,
+    /// The holder's upload is being written to the store.
+    pub(crate) committing: bool,
+}
+
+impl LeaseRec {
+    fn new(worker: &str, ttl: Duration, committing: bool) -> Self {
+        LeaseRec {
+            worker: worker.to_owned(),
+            ttl,
+            expires: Instant::now() + ttl,
+            heartbeats: 0,
+            progress: None,
+            committing,
+        }
+    }
 }
 
 /// Per-worker bookkeeping, keyed by the worker's self-reported name.
@@ -105,116 +126,24 @@ pub struct FleetMetrics {
     pub quarantined: AtomicU64,
 }
 
-/// Lease table, worker registry, and divergence ledger.
-#[derive(Default)]
-pub struct FleetState {
-    pub(crate) leases: Mutex<HashMap<String, LeaseRec>>,
-    pub(crate) workers: Mutex<HashMap<String, WorkerRec>>,
-    /// `(key, worker)` pairs whose uploads diverged from stored bytes.
-    pub(crate) divergent: Mutex<Vec<(String, String)>>,
-    /// Keys with a completion commit in flight (concurrency guard).
-    pub(crate) completing: Mutex<HashSet<String>>,
-    /// The `fleet.*` metrics.
-    pub metrics: FleetMetrics,
-}
-
-impl FleetState {
+impl Registry {
     /// Record contact from `worker`, creating its record on first
-    /// sight, and apply `f` to it.
-    fn note_worker(&self, worker: &str, f: impl FnOnce(&mut WorkerRec)) {
-        let mut workers = self.workers.lock().expect("workers lock");
-        let rec = workers.entry(worker.to_owned()).or_insert(WorkerRec {
-            last_seen: Instant::now(),
+    /// sight.
+    fn note_worker(&mut self, worker: &str) -> &mut WorkerRec {
+        let now = Instant::now();
+        let rec = self.workers.entry(worker.to_owned()).or_insert(WorkerRec {
+            last_seen: now,
             claimed: 0,
             completed: 0,
             failed: 0,
         });
-        rec.last_seen = Instant::now();
-        f(rec);
+        rec.last_seen = now;
+        rec
     }
 
-    /// Leases currently live.
-    pub fn lease_count(&self) -> usize {
-        self.leases.lock().expect("leases lock").len()
-    }
-
-    /// Snapshot of the lease table.
-    pub fn leases_snapshot(&self) -> Vec<(String, LeaseRec)> {
-        let leases = self.leases.lock().expect("leases lock");
-        leases.iter().map(|(k, l)| (k.clone(), l.clone())).collect()
-    }
-
-    /// Snapshot of the worker registry.
-    pub fn workers_snapshot(&self) -> Vec<(String, WorkerRec)> {
-        let workers = self.workers.lock().expect("workers lock");
-        workers
-            .iter()
-            .map(|(n, w)| (n.clone(), w.clone()))
-            .collect()
-    }
-
-    /// Keys whose duplicate completions diverged, with the offending
-    /// worker.
-    pub fn divergent_snapshot(&self) -> Vec<(String, String)> {
-        self.divergent.lock().expect("divergent lock").clone()
-    }
-
-    /// Export the fleet counters into `c`.
-    pub fn fill_counters(&self, c: &mut ptb_obs::CounterRegistry) {
-        let m = &self.metrics;
-        c.set(
-            "serve.lease.claimed",
-            m.claimed.load(Ordering::Relaxed) as f64,
-        );
-        c.set(
-            "serve.lease.heartbeats",
-            m.heartbeats.load(Ordering::Relaxed) as f64,
-        );
-        c.set(
-            "serve.lease.expired",
-            m.expired.load(Ordering::Relaxed) as f64,
-        );
-        c.set(
-            "serve.lease.requeued",
-            m.requeued.load(Ordering::Relaxed) as f64,
-        );
-        c.set(
-            "serve.lease.divergent",
-            m.divergent.load(Ordering::Relaxed) as f64,
-        );
-        c.set("serve.lease.active", self.lease_count() as f64);
-        c.set(
-            "fleet.complete.stored",
-            m.complete_stored.load(Ordering::Relaxed) as f64,
-        );
-        c.set(
-            "fleet.complete.duplicate",
-            m.complete_duplicate.load(Ordering::Relaxed) as f64,
-        );
-        c.set(
-            "fleet.complete.raced",
-            m.complete_raced.load(Ordering::Relaxed) as f64,
-        );
-        c.set(
-            "fleet.fail.transient",
-            m.fail_transient.load(Ordering::Relaxed) as f64,
-        );
-        c.set(
-            "fleet.fail.fatal",
-            m.fail_fatal.load(Ordering::Relaxed) as f64,
-        );
-        c.set(
-            "fleet.fail.timeout",
-            m.fail_timeout.load(Ordering::Relaxed) as f64,
-        );
-        c.set(
-            "fleet.quarantined",
-            m.quarantined.load(Ordering::Relaxed) as f64,
-        );
-        c.set(
-            "fleet.workers",
-            self.workers.lock().expect("workers lock").len() as f64,
-        );
+    /// True when some fleet worker was heard from within `grace`.
+    pub(crate) fn remote_active(&self, grace: Duration) -> bool {
+        self.workers.values().any(|w| w.last_seen.elapsed() < grace)
     }
 }
 
@@ -267,14 +196,71 @@ impl ServeState {
     /// `worker_grace` — the signal for the local scheduler to hold
     /// back.
     pub fn remote_active(&self) -> bool {
-        let grace = self.cfg.worker_grace;
-        let workers = self.fleet.workers.lock().expect("workers lock");
-        workers.values().any(|w| w.last_seen.elapsed() < grace)
+        self.registry().remote_active(self.cfg.worker_grace)
     }
 
     /// Whether the local scheduler may take work right now.
-    pub(crate) fn local_may_run(&self) -> bool {
-        self.cfg.local_execution && !self.remote_active()
+    pub(crate) fn local_may_run(&self, reg: &Registry) -> bool {
+        self.cfg.local_execution && !reg.remote_active(self.cfg.worker_grace)
+    }
+
+    /// Leases currently live.
+    pub(crate) fn lease_count(&self) -> usize {
+        self.registry().leased.len()
+    }
+
+    /// The live leases by key, in key order.
+    pub(crate) fn leases_snapshot(&self) -> Vec<(String, LeaseRec)> {
+        let reg = self.registry();
+        reg.leased
+            .iter()
+            .filter_map(|key| match &reg.jobs.get(key)?.state {
+                JobState::Leased(lease) => Some((key.clone(), LeaseRec::clone(lease))),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Snapshot of the worker registry.
+    pub(crate) fn workers_snapshot(&self) -> Vec<(String, WorkerRec)> {
+        let reg = self.registry();
+        reg.workers
+            .iter()
+            .map(|(n, w)| (n.clone(), w.clone()))
+            .collect()
+    }
+
+    /// Keys whose duplicate completions diverged, with the offending
+    /// worker.
+    pub(crate) fn divergent_snapshot(&self) -> Vec<(String, String)> {
+        self.registry().divergent.clone()
+    }
+
+    /// Export the fleet counters into `c`.
+    pub(crate) fn fill_fleet_counters(&self, c: &mut ptb_obs::CounterRegistry) {
+        let m = &self.fleet;
+        let (leases, workers) = {
+            let reg = self.registry();
+            (reg.leased.len(), reg.workers.len())
+        };
+        for (name, value) in [
+            ("serve.lease.claimed", &m.claimed),
+            ("serve.lease.heartbeats", &m.heartbeats),
+            ("serve.lease.expired", &m.expired),
+            ("serve.lease.requeued", &m.requeued),
+            ("serve.lease.divergent", &m.divergent),
+            ("fleet.complete.stored", &m.complete_stored),
+            ("fleet.complete.duplicate", &m.complete_duplicate),
+            ("fleet.complete.raced", &m.complete_raced),
+            ("fleet.fail.transient", &m.fail_transient),
+            ("fleet.fail.fatal", &m.fail_fatal),
+            ("fleet.fail.timeout", &m.fail_timeout),
+            ("fleet.quarantined", &m.quarantined),
+        ] {
+            c.set(name, value.load(Ordering::Relaxed) as f64);
+        }
+        c.set("serve.lease.active", leases as f64);
+        c.set("fleet.workers", workers as f64);
     }
 
     /// Lease the oldest queued job to `worker`. `None` when the queue
@@ -288,40 +274,33 @@ impl ServeState {
         let ttl = requested_ttl
             .unwrap_or(self.cfg.lease_default_ttl)
             .min(self.cfg.lease_max_ttl);
-        self.fleet.note_worker(worker, |_| {});
-        loop {
-            let key = self.queue.lock().expect("queue lock").pop_front()?;
-            let job = {
-                let mut jobs = self.jobs.lock().expect("jobs lock");
-                match jobs.get_mut(&key) {
-                    Some(rec) if rec.state == JobState::Queued => {
-                        rec.state = JobState::Leased(worker.to_owned());
-                        rec.claims += 1;
-                        Some(rec.job.clone())
-                    }
-                    // Settled or reclaimed while queued: skip the stale
-                    // queue entry and keep looking.
-                    _ => None,
+        let (key, job) = {
+            let mut guard = self.registry();
+            let reg = &mut *guard;
+            reg.note_worker(worker);
+            let (key, job) = loop {
+                let key = reg.queue.pop_front()?;
+                // Settled or reclaimed while queued: skip the stale
+                // queue entry and keep looking.
+                if let Some(rec) = reg
+                    .jobs
+                    .get_mut(&key)
+                    .filter(|r| r.state == JobState::Queued)
+                {
+                    rec.claims += 1;
+                    break (key, rec.job.clone());
                 }
             };
-            let Some(job) = job else { continue };
-            self.fleet.leases.lock().expect("leases lock").insert(
-                key.clone(),
-                LeaseRec {
-                    worker: worker.to_owned(),
-                    ttl,
-                    expires: Instant::now() + ttl,
-                    heartbeats: 0,
-                    progress: None,
-                },
-            );
-            self.fleet.metrics.claimed.fetch_add(1, Ordering::Relaxed);
-            self.fleet.note_worker(worker, |w| w.claimed += 1);
-            // Journal the hand-off (duplicate submit lines are ignored
-            // by replay) so a server crash still knows what was owed.
-            self.farm.record_pending(std::slice::from_ref(&job)).ok();
-            return Some((key, job, ttl));
-        }
+            let lease = LeaseRec::new(worker, ttl, false);
+            reg.set_state(&key, JobState::Leased(Box::new(lease)));
+            reg.note_worker(worker).claimed += 1;
+            (key, job)
+        };
+        self.fleet.claimed.fetch_add(1, Ordering::Relaxed);
+        // Journal the hand-off (duplicate submit lines are ignored
+        // by replay) so a server crash still knows what was owed.
+        self.farm.record_pending(std::slice::from_ref(&job)).ok();
+        Some((key, job, ttl))
     }
 
     /// Extend `worker`'s lease on `key` by its TTL. Returns the TTL on
@@ -332,19 +311,17 @@ impl ServeState {
         key: &str,
         progress: Option<String>,
     ) -> Result<Duration, FleetRefusal> {
-        self.fleet.note_worker(worker, |_| {});
-        let mut leases = self.fleet.leases.lock().expect("leases lock");
-        match leases.get_mut(key) {
-            Some(l) if l.worker == worker => {
+        let mut guard = self.registry();
+        let reg = &mut *guard;
+        reg.note_worker(worker);
+        match reg.jobs.get_mut(key).map(|r| &mut r.state) {
+            Some(JobState::Leased(l)) if l.worker == worker => {
                 l.expires = Instant::now() + l.ttl;
                 l.heartbeats += 1;
                 if progress.is_some() {
                     l.progress = progress;
                 }
-                self.fleet
-                    .metrics
-                    .heartbeats
-                    .fetch_add(1, Ordering::Relaxed);
+                self.fleet.heartbeats.fetch_add(1, Ordering::Relaxed);
                 Ok(l.ttl)
             }
             _ => Err(FleetRefusal::LeaseLost),
@@ -358,48 +335,75 @@ impl ServeState {
     /// result, and refusing it would only waste work. Idempotency and
     /// divergence are resolved by byte comparison (see module docs).
     pub fn complete(&self, worker: &str, key: &str, report: RunReport) -> CompleteOutcome {
-        self.fleet.note_worker(worker, |_| {});
-        {
-            let mut completing = self.fleet.completing.lock().expect("completing lock");
-            if !completing.insert(key.to_owned()) {
-                return CompleteOutcome::Retry(
-                    "another completion for this key is in flight".into(),
-                );
+        // Screen the upload and take the job in one critical section.
+        let (job, already_done) = {
+            let mut guard = self.registry();
+            let reg = &mut *guard;
+            reg.note_worker(worker);
+            let Some(rec) = reg.jobs.get(key) else {
+                return CompleteOutcome::Invalid(format!("unknown job {key:?}"));
+            };
+            // Cheap identity screen before the store's own embedded-job
+            // verification: the upload must at least claim to be this job.
+            let job = &rec.job;
+            if report.benchmark != job.bench.name()
+                || report.n_cores != job.config.n_cores
+                || report.mechanism != job.config.mechanism.label()
+            {
+                return CompleteOutcome::Invalid(format!(
+                    "report identifies as {}/{}/{}c but key {key} addresses {}",
+                    report.benchmark,
+                    report.mechanism,
+                    report.n_cores,
+                    job.label()
+                ));
             }
-        }
-        let out = self.complete_inner(worker, key, report);
-        self.fleet
-            .completing
-            .lock()
-            .expect("completing lock")
-            .remove(key);
+            let job = job.clone();
+            let lease = match &rec.state {
+                JobState::Done => None,
+                JobState::Running => {
+                    self.fleet.complete_raced.fetch_add(1, Ordering::Relaxed);
+                    return CompleteOutcome::RacedLocal;
+                }
+                JobState::Leased(l) if l.committing => {
+                    return CompleteOutcome::Retry(
+                        "another completion for this key is in flight".into(),
+                    );
+                }
+                JobState::Leased(l) if l.worker == worker => Some(LeaseRec {
+                    committing: true,
+                    ..LeaseRec::clone(l)
+                }),
+                JobState::Leased(_) | JobState::Queued | JobState::Failed(_) => {
+                    Some(LeaseRec::new(worker, self.cfg.lease_default_ttl, true))
+                }
+            };
+            let already_done = lease.is_none();
+            if let Some(lease) = lease {
+                // The uploader holds the job while its commit is in
+                // flight, and the queue loses the key: the local
+                // scheduler cannot also run it.
+                reg.set_state(key, JobState::Leased(Box::new(lease)));
+                reg.queue.retain(|k| k != key);
+            }
+            (job, already_done)
+        };
+        let out = if already_done {
+            self.compare_against_store(key, &job, &report)
+        } else {
+            self.commit(worker, key, &job, &report)
+        };
         match &out {
-            CompleteOutcome::Stored => {
-                self.fleet
-                    .metrics
-                    .complete_stored
-                    .fetch_add(1, Ordering::Relaxed);
-                self.fleet.note_worker(worker, |w| w.completed += 1);
-            }
             CompleteOutcome::Duplicate => {
                 self.fleet
-                    .metrics
                     .complete_duplicate
                     .fetch_add(1, Ordering::Relaxed);
-                self.fleet.note_worker(worker, |w| w.completed += 1);
-            }
-            CompleteOutcome::RacedLocal => {
-                self.fleet
-                    .metrics
-                    .complete_raced
-                    .fetch_add(1, Ordering::Relaxed);
+                self.registry().note_worker(worker).completed += 1;
             }
             CompleteOutcome::Divergent => {
-                self.fleet.metrics.divergent.fetch_add(1, Ordering::Relaxed);
-                self.fleet
+                self.fleet.divergent.fetch_add(1, Ordering::Relaxed);
+                self.registry()
                     .divergent
-                    .lock()
-                    .expect("divergent lock")
                     .push((key.to_owned(), worker.to_owned()));
             }
             _ => {}
@@ -407,71 +411,29 @@ impl ServeState {
         out
     }
 
-    fn complete_inner(&self, worker: &str, key: &str, report: RunReport) -> CompleteOutcome {
-        let job = {
-            let jobs = self.jobs.lock().expect("jobs lock");
-            match jobs.get(key) {
-                Some(rec) => rec.job.clone(),
-                None => return CompleteOutcome::Invalid(format!("unknown job {key:?}")),
-            }
-        };
-        // Cheap identity screen before the store's own embedded-job
-        // verification: the upload must at least claim to be this job.
-        if report.benchmark != job.bench.name()
-            || report.n_cores != job.config.n_cores
-            || report.mechanism != job.config.mechanism.label()
-        {
-            return CompleteOutcome::Invalid(format!(
-                "report identifies as {}/{}/{}c but key {key} addresses {}",
-                report.benchmark,
-                report.mechanism,
-                report.n_cores,
-                job.label()
-            ));
-        }
-        // Take ownership inside the jobs lock, before the store write:
-        // flipping to Leased(us) and unlinking the queue entry closes
-        // the race with the local scheduler's drain.
-        {
-            let mut jobs = self.jobs.lock().expect("jobs lock");
-            let rec = jobs.get_mut(key).expect("checked above");
-            match rec.state.clone() {
-                JobState::Done => {
-                    drop(jobs);
-                    return self.compare_against_store(key, &job, &report);
-                }
-                JobState::Running => return CompleteOutcome::RacedLocal,
-                JobState::Queued | JobState::Leased(_) | JobState::Failed(_) => {
-                    rec.state = JobState::Leased(worker.to_owned());
-                    drop(jobs);
-                    let mut queue = self.queue.lock().expect("queue lock");
-                    queue.retain(|k| k != key);
-                }
-            }
-        }
-        match self.farm.commit_remote(key, &job, &report) {
+    /// Write `worker`'s report for the job it has taken, then settle the
+    /// job: done, requeued on a transient store fault, or quarantined.
+    fn commit(
+        &self,
+        worker: &str,
+        key: &str,
+        job: &FarmJob,
+        report: &RunReport,
+    ) -> CompleteOutcome {
+        let written = self.farm.commit_remote(key, job, report);
+        let mut reg = self.registry();
+        match written {
             Ok(()) => {
-                let mut jobs = self.jobs.lock().expect("jobs lock");
-                if let Some(rec) = jobs.get_mut(key) {
-                    rec.state = JobState::Done;
-                    rec.executed_by = Some(worker.to_owned());
-                }
-                drop(jobs);
-                self.fleet.leases.lock().expect("leases lock").remove(key);
+                reg.settle_done(key, worker);
+                reg.note_worker(worker).completed += 1;
                 self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+                self.fleet.complete_stored.fetch_add(1, Ordering::Relaxed);
                 CompleteOutcome::Stored
             }
             Err(e) if e.transient() => {
                 // Put the job back; this worker (or any other) retries.
-                let mut jobs = self.jobs.lock().expect("jobs lock");
-                if let Some(rec) = jobs.get_mut(key) {
-                    rec.state = JobState::Queued;
-                }
-                drop(jobs);
-                self.queue
-                    .lock()
-                    .expect("queue lock")
-                    .push_back(key.to_owned());
+                reg.requeue(key);
+                drop(reg);
                 self.wake.notify_all();
                 CompleteOutcome::Retry(format!("store write failed transiently: {e}"))
             }
@@ -481,7 +443,9 @@ impl ServeState {
                     message: msg.clone(),
                     attempts: 1,
                 };
-                self.quarantine_remote(key, &job, &job_err);
+                reg.set_state(key, JobState::Failed(job_err.to_string()));
+                drop(reg);
+                self.quarantine_remote(key, job, &job_err);
                 CompleteOutcome::StoreError(msg)
             }
         }
@@ -519,181 +483,142 @@ impl ServeState {
         kind: &str,
         message: &str,
     ) -> Result<FailOutcome, FleetRefusal> {
-        self.fleet.note_worker(worker, |_| {});
+        let mut guard = self.registry();
+        let reg = &mut *guard;
+        reg.note_worker(worker);
         // Validate the kind before touching the lease: a malformed
         // request must not consume it and strand the job.
-        if !matches!(kind, "transient" | "fatal" | "timeout") {
-            return Err(FleetRefusal::Bad(format!(
-                "unknown fault kind {kind:?} (expected transient|fatal|timeout)"
-            )));
-        }
-        // Only the lease holder may fail a job: a zombie's stale
-        // verdict must not quarantine work that has moved on.
-        {
-            let mut leases = self.fleet.leases.lock().expect("leases lock");
-            match leases.get(key) {
-                Some(l) if l.worker == worker => {
-                    leases.remove(key);
-                }
-                _ => return Err(FleetRefusal::LeaseLost),
-            }
-        }
-        self.fleet.note_worker(worker, |w| w.failed += 1);
-        let job = {
-            let jobs = self.jobs.lock().expect("jobs lock");
-            match jobs.get(key) {
-                Some(rec) => rec.job.clone(),
-                None => return Err(FleetRefusal::Bad(format!("unknown job {key:?}"))),
+        let counter = match kind {
+            "transient" => &self.fleet.fail_transient,
+            "fatal" => &self.fleet.fail_fatal,
+            "timeout" => &self.fleet.fail_timeout,
+            _ => {
+                return Err(FleetRefusal::Bad(format!(
+                    "unknown fault kind {kind:?} (expected transient|fatal|timeout)"
+                )))
             }
         };
+        // Only the lease holder may fail a job, and not while its upload
+        // is being stored: a zombie's stale verdict must not quarantine
+        // work that has moved on.
+        let rec = match reg.jobs.get_mut(key) {
+            Some(rec) if matches!(&rec.state, JobState::Leased(l) if l.worker == worker && !l.committing) => {
+                rec
+            }
+            _ => return Err(FleetRefusal::LeaseLost),
+        };
+        let job = rec.job.clone();
         let label = job.label();
-        match kind {
+        let (outcome, quarantine) = match kind {
             "transient" => {
-                self.fleet
-                    .metrics
-                    .fail_transient
-                    .fetch_add(1, Ordering::Relaxed);
-                let (attempts, requeue) = {
-                    let mut jobs = self.jobs.lock().expect("jobs lock");
-                    let rec = jobs.get_mut(key).expect("checked above");
-                    rec.remote_attempts += 1;
-                    let attempts = rec.remote_attempts;
-                    let requeue = attempts < self.cfg.remote_retry_max;
-                    // Only requeue if the key is still ours: a zombie
-                    // completion may have taken over meanwhile.
-                    if requeue && rec.state == JobState::Leased(worker.to_owned()) {
-                        rec.state = JobState::Queued;
-                    }
-                    (attempts, requeue)
-                };
-                if requeue {
-                    self.queue
-                        .lock()
-                        .expect("queue lock")
-                        .push_back(key.to_owned());
-                    self.wake.notify_all();
-                    Ok(FailOutcome::Requeued { attempts })
+                rec.remote_attempts += 1;
+                let attempts = rec.remote_attempts;
+                if attempts < self.cfg.remote_retry_max {
+                    (FailOutcome::Requeued { attempts }, None)
                 } else {
                     let err = JobError::Failed {
                         message: format!("{label}: {message} (remote retries exhausted)"),
                         attempts,
                     };
-                    self.quarantine_remote(key, &job, &err);
-                    Ok(FailOutcome::Quarantined)
+                    (FailOutcome::Quarantined, Some(err))
                 }
             }
             "fatal" => {
-                self.fleet
-                    .metrics
-                    .fail_fatal
-                    .fetch_add(1, Ordering::Relaxed);
                 let err = JobError::Failed {
                     message: format!("{label}: {message}"),
                     attempts: 1,
                 };
-                self.quarantine_remote(key, &job, &err);
-                Ok(FailOutcome::Quarantined)
+                (FailOutcome::Quarantined, Some(err))
             }
-            "timeout" => {
-                self.fleet
-                    .metrics
-                    .fail_timeout
-                    .fetch_add(1, Ordering::Relaxed);
+            _ => {
                 let err = JobError::TimedOut {
                     message: format!("{label}: {message}"),
                 };
-                self.quarantine_remote(key, &job, &err);
-                Ok(FailOutcome::Quarantined)
+                (FailOutcome::Quarantined, Some(err))
             }
-            _ => unreachable!("kind validated above"),
+        };
+        match &quarantine {
+            Some(err) => reg.set_state(key, JobState::Failed(err.to_string())),
+            None => reg.requeue(key),
         }
+        reg.note_worker(worker).failed += 1;
+        drop(guard);
+        counter.fetch_add(1, Ordering::Relaxed);
+        match quarantine {
+            Some(err) => self.quarantine_remote(key, &job, &err),
+            None => self.wake.notify_all(),
+        }
+        Ok(outcome)
     }
 
+    /// Count a fleet-side quarantine and append it to `failed.jsonl`.
+    /// The caller has already marked the job `Failed`.
     fn quarantine_remote(&self, key: &str, job: &FarmJob, err: &JobError) {
-        self.fleet
-            .metrics
-            .quarantined
-            .fetch_add(1, Ordering::Relaxed);
+        self.fleet.quarantined.fetch_add(1, Ordering::Relaxed);
         self.metrics.failed.fetch_add(1, Ordering::Relaxed);
         if let Err(qe) = self.farm.quarantine_job(job, err) {
             eprintln!("warning: cannot quarantine {key}: {qe}");
         }
-        let mut jobs = self.jobs.lock().expect("jobs lock");
-        if let Some(rec) = jobs.get_mut(key) {
-            // Never clobber a result that landed meanwhile.
-            if rec.state != JobState::Done {
-                rec.state = JobState::Failed(err.to_string());
-            }
-        }
     }
 
-    /// One reaper pass over the lease table: expired leases are
-    /// removed, their jobs requeued — or quarantined once a key has
-    /// burned `max_claims` claims (a job that keeps killing or
-    /// stalling its claimants is poison, not unlucky).
+    /// One reaper pass over the live leases: expired ones are ended,
+    /// their jobs requeued — or quarantined once a key has burned
+    /// `max_claims` claims (a job that keeps killing or stalling its
+    /// claimants is poison, not unlucky). A lease whose commit is in
+    /// flight is left to its commit.
     pub fn reap_expired_leases(&self) {
         let now = Instant::now();
-        let expired: Vec<(String, String)> = {
-            let mut leases = self.fleet.leases.lock().expect("leases lock");
-            let gone: Vec<(String, String)> = leases
+        let expired = {
+            let mut guard = self.registry();
+            let reg = &mut *guard;
+            let expired: Vec<_> = reg
+                .leased
                 .iter()
-                .filter(|(_, l)| l.expires <= now)
-                .map(|(k, l)| (k.clone(), l.worker.clone()))
-                .collect();
-            for (k, _) in &gone {
-                leases.remove(k);
-            }
-            gone
-        };
-        for (key, worker) in expired {
-            self.fleet.metrics.expired.fetch_add(1, Ordering::Relaxed);
-            eprintln!("[fleet] lease on {key} (worker {worker}) expired");
-            let action = {
-                let mut jobs = self.jobs.lock().expect("jobs lock");
-                match jobs.get_mut(&key) {
-                    // Only act while the key is still leased to the
-                    // expired holder; anything else means the job
-                    // already moved on (completed, failed, re-leased).
-                    Some(rec) if rec.state == JobState::Leased(worker.clone()) => {
-                        if rec.claims >= self.cfg.max_claims {
-                            Some((rec.job.clone(), rec.claims))
-                        } else {
-                            rec.state = JobState::Queued;
-                            None
-                        }
-                    }
-                    _ => continue,
-                }
-            };
-            match action {
-                Some((job, claims)) => {
-                    let err = JobError::Failed {
-                        message: format!(
-                            "{}: lease expired {claims} times; claimants died or stalled",
-                            job.label()
-                        ),
-                        attempts: claims,
+                .filter_map(|key| {
+                    let rec = reg.jobs.get(key)?;
+                    let JobState::Leased(lease) = &rec.state else {
+                        return None;
                     };
-                    self.quarantine_remote(&key, &job, &err);
+                    if lease.expires > now || lease.committing {
+                        return None;
+                    }
+                    let poison = (rec.claims >= self.cfg.max_claims).then(|| {
+                        let err = JobError::Failed {
+                            message: format!(
+                                "{}: lease expired {} times; claimants died or stalled",
+                                rec.job.label(),
+                                rec.claims
+                            ),
+                            attempts: rec.claims,
+                        };
+                        (rec.job.clone(), err)
+                    });
+                    Some((key.clone(), lease.worker.clone(), poison))
+                })
+                .collect();
+            for (key, _, poison) in &expired {
+                match poison {
+                    Some((_, err)) => reg.set_state(key, JobState::Failed(err.to_string())),
+                    None => reg.requeue(key),
                 }
+            }
+            expired
+        };
+        let mut requeued = false;
+        for (key, worker, poison) in expired {
+            self.fleet.expired.fetch_add(1, Ordering::Relaxed);
+            eprintln!("[fleet] lease on {key} (worker {worker}) expired");
+            match poison {
+                Some((job, err)) => self.quarantine_remote(&key, &job, &err),
                 None => {
-                    self.fleet.metrics.requeued.fetch_add(1, Ordering::Relaxed);
-                    self.queue.lock().expect("queue lock").push_back(key);
-                    self.wake.notify_all();
+                    self.fleet.requeued.fetch_add(1, Ordering::Relaxed);
+                    requeued = true;
                 }
             }
         }
-    }
-
-    /// Prune worker records not heard from for `idle`; returns how
-    /// many were dropped (used by `farm_ctl workers --prune` via the
-    /// status endpoint — the registry itself is bounded by fleet size,
-    /// so this is cosmetic, not a leak fix).
-    pub fn prune_workers(&self, idle: Duration) -> usize {
-        let mut workers = self.fleet.workers.lock().expect("workers lock");
-        let before = workers.len();
-        workers.retain(|_, w| w.last_seen.elapsed() < idle);
-        before - workers.len()
+        if requeued {
+            self.wake.notify_all();
+        }
     }
 }
 

@@ -172,14 +172,6 @@ impl Response {
             }
         }
     }
-
-    /// The buffered body bytes, if any (streaming bodies return `None`).
-    pub fn body_bytes(&self) -> Option<&[u8]> {
-        match &self.body {
-            Body::Bytes(b) => Some(b),
-            Body::Stream(_) => None,
-        }
-    }
 }
 
 /// Parse one request from `stream`, enforcing the head/body caps.
@@ -322,7 +314,7 @@ impl Server {
             workers.push(std::thread::spawn(move || loop {
                 // Take the next connection, releasing the receiver lock
                 // before doing any I/O so the pool drains in parallel.
-                let next = { rx.lock().expect("worker queue lock").recv() };
+                let next = { ptb_farm::lock(&rx).recv() };
                 match next {
                     Ok(stream) => handle_connection(stream, &handler, timeout),
                     Err(_) => break, // accept loop gone: shut down

@@ -12,10 +12,10 @@
 //!
 //! * [`http`] — wire plumbing: parsing, bounded worker pool, one-shot
 //!   client, streaming bodies;
-//! * [`state`] — job registry, submission queue, scheduler thread,
-//!   lease reaper, `serve.*` metrics;
-//! * [`fleet`] — the lease table behind the `/v1/work/*` endpoints
-//!   that remote `ptb_worker` processes pull jobs through;
+//! * [`state`] — the job registry (one lock over jobs, queue and fleet
+//!   records), scheduler thread, lease reaper, `serve.*` metrics;
+//! * [`fleet`] — the leases behind the `/v1/work/*` endpoints that
+//!   remote `ptb_worker` processes pull jobs through;
 //! * [`net`] — the seeded chaos transport fleet workers are tested
 //!   under;
 //! * [`api`] — routes and the JSON protocol.
@@ -31,7 +31,7 @@ pub mod http;
 pub mod net;
 pub mod state;
 
-pub use fleet::{CompleteOutcome, FailOutcome, FleetRefusal, FleetState, LeaseRec, WorkerRec};
+pub use fleet::{CompleteOutcome, FailOutcome, FleetMetrics, FleetRefusal, LeaseRec, WorkerRec};
 pub use http::{http_call, Body, Handler, Request, Response, Server, ServerConfig};
 pub use net::{ChaosNet, NetChaosConfig, RealNet, Transport};
 pub use state::{

@@ -19,12 +19,27 @@
 //! watchdog, and quarantine of persistent failures to `failed.jsonl`.
 //! A faulted job marks only its own key `failed`; the server keeps
 //! serving.
+//!
+//! ## One registry lock
+//!
+//! Jobs, the queue, fleet worker records and the divergence ledger sit
+//! in one [`Registry`] behind one mutex, with one condvar that wakes the
+//! scheduler. A fleet lease is the `Leased` state of its job, not a
+//! second record, so the job and its lease cannot disagree. Submit, the
+//! scheduler's drain, claim, heartbeat, complete, fail and the reaper
+//! each read and change a job in one critical section, and none holds a
+//! second lock: the batch registry has its own mutex and is never taken
+//! together with this one. Store reads and writes and journal and
+//! quarantine appends all run outside the lock. Every mutex is taken
+//! through [`ptb_farm::lock`], so a panicking holder costs only its own
+//! request.
 
-use ptb_farm::{ExecConfig, Farm, FarmJob, StoreLookup};
+use crate::fleet::{FleetMetrics, LeaseRec, WorkerRec};
+use ptb_farm::{lock, wait_timeout, ExecConfig, Farm, FarmJob, StoreLookup};
 use ptb_obs::CounterRegistry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -87,8 +102,9 @@ impl Default for ServeConfig {
 pub enum JobState {
     /// Waiting for the scheduler or a fleet claim.
     Queued,
-    /// Leased to the named fleet worker.
-    Leased(String),
+    /// Leased to a fleet worker: the lease lives here and nowhere else
+    /// (boxed, so the registry's many settled records stay small).
+    Leased(Box<LeaseRec>),
     /// Handed to the local executor.
     Running,
     /// Report available in the store.
@@ -137,6 +153,54 @@ impl JobRecord {
             claims: 0,
             remote_attempts: 0,
             executed_by: None,
+        }
+    }
+}
+
+/// The job registry and the fleet's records, behind [`ServeState`]'s
+/// one registry lock (see the module docs).
+#[derive(Default)]
+pub(crate) struct Registry {
+    pub(crate) jobs: HashMap<String, JobRecord>,
+    /// Keys waiting for the scheduler or a claim, oldest first.
+    /// Consumers skip a key that is no longer `Queued`.
+    pub(crate) queue: VecDeque<String>,
+    /// Keys whose state is `Leased`, so the reaper and `/v1/workers`
+    /// cost O(live leases): the job map never evicts.
+    pub(crate) leased: BTreeSet<String>,
+    /// Fleet workers by self-reported name.
+    pub(crate) workers: HashMap<String, WorkerRec>,
+    /// `(key, worker)` pairs whose uploads diverged from stored bytes.
+    pub(crate) divergent: Vec<(String, String)>,
+}
+
+impl Registry {
+    /// Move the registered job `key` to `state`. This is the only
+    /// writer of a registered job's state, which keeps `leased` in step.
+    pub(crate) fn set_state(&mut self, key: &str, state: JobState) {
+        let Some(rec) = self.jobs.get_mut(key) else {
+            return;
+        };
+        if matches!(state, JobState::Leased(_)) {
+            self.leased.insert(key.to_owned());
+        } else {
+            self.leased.remove(key);
+        }
+        rec.state = state;
+    }
+
+    /// Return `key` to the queue.
+    pub(crate) fn requeue(&mut self, key: &str) {
+        self.set_state(key, JobState::Queued);
+        self.queue.push_back(key.to_owned());
+    }
+
+    /// Mark `key` done, its report stored by `by` (`"local"` or a
+    /// worker's name).
+    pub(crate) fn settle_done(&mut self, key: &str, by: &str) {
+        self.set_state(key, JobState::Done);
+        if let Some(rec) = self.jobs.get_mut(key) {
+            rec.executed_by = Some(by.to_owned());
         }
     }
 }
@@ -347,18 +411,12 @@ impl Default for ServeMetrics {
 impl ServeMetrics {
     /// Record `ms` spent in `phase`.
     pub fn observe(&self, phase: RequestPhase, ms: f64) {
-        self.latency[phase.index()]
-            .lock()
-            .expect("latency lock")
-            .push(ms);
+        lock(&self.latency[phase.index()]).push(ms);
     }
 
     /// `(count, p50, p95, p99)` for `phase`, in milliseconds.
     pub fn phase_summary(&self, phase: RequestPhase) -> (u64, f64, f64, f64) {
-        self.latency[phase.index()]
-            .lock()
-            .expect("latency lock")
-            .summary()
+        lock(&self.latency[phase.index()]).summary()
     }
 }
 
@@ -367,13 +425,16 @@ impl ServeMetrics {
 pub struct ServeState {
     pub(crate) farm: Arc<Farm>,
     pub(crate) cfg: ServeConfig,
-    pub(crate) jobs: Mutex<HashMap<String, JobRecord>>,
-    /// Batches by number (wire id `b<n>`).
-    pub(crate) batches: Mutex<HashMap<u64, BatchRec>>,
-    batch_seq: AtomicU64,
-    pub(crate) queue: Mutex<VecDeque<String>>,
+    /// Jobs, queue, workers and divergence ledger: the one registry
+    /// lock.
+    registry: Mutex<Registry>,
+    /// Wakes the scheduler when the queue grows or the server stops.
     pub(crate) wake: Condvar,
-    pub(crate) stop: AtomicBool,
+    /// Batches by number (wire id `b<n>`). Never taken together with
+    /// `registry`.
+    batches: Mutex<HashMap<u64, BatchRec>>,
+    batch_seq: AtomicU64,
+    stop: AtomicBool,
     started: Instant,
     /// False once the scheduler thread has exited (panic included) —
     /// flips `/healthz` to 503.
@@ -382,8 +443,8 @@ pub struct ServeState {
     pub(crate) reaper_alive: AtomicBool,
     /// The `serve.*` metrics.
     pub metrics: ServeMetrics,
-    /// Lease table, worker registry, and `fleet.*` metrics.
-    pub fleet: crate::fleet::FleetState,
+    /// The `serve.lease.*` and `fleet.*` metrics.
+    pub fleet: FleetMetrics,
 }
 
 impl ServeState {
@@ -392,11 +453,10 @@ impl ServeState {
         ServeState {
             farm,
             cfg,
-            jobs: Mutex::new(HashMap::new()),
+            registry: Mutex::new(Registry::default()),
+            wake: Condvar::new(),
             batches: Mutex::new(HashMap::new()),
             batch_seq: AtomicU64::new(0),
-            queue: Mutex::new(VecDeque::new()),
-            wake: Condvar::new(),
             stop: AtomicBool::new(false),
             started: Instant::now(),
             // Liveness flags start true: a probe racing thread startup
@@ -404,8 +464,13 @@ impl ServeState {
             scheduler_alive: AtomicBool::new(true),
             reaper_alive: AtomicBool::new(true),
             metrics: ServeMetrics::default(),
-            fleet: crate::fleet::FleetState::default(),
+            fleet: FleetMetrics::default(),
         }
+    }
+
+    /// The registry, under its lock.
+    pub(crate) fn registry(&self) -> MutexGuard<'_, Registry> {
+        lock(&self.registry)
     }
 
     /// The farm being served.
@@ -441,7 +506,7 @@ impl ServeState {
 
     /// Jobs waiting for the scheduler.
     pub fn queue_depth(&self) -> usize {
-        self.queue.lock().expect("queue lock").len()
+        self.registry().queue.len()
     }
 
     /// Register a batch of jobs, deduplicating by content key. Returns
@@ -453,106 +518,98 @@ impl ServeState {
     ) -> (String, Vec<(String, JobState, Disposition)>) {
         let keys: Vec<String> = submitted.iter().map(FarmJob::key).collect();
         // Probe the store for keys not yet in the registry WITHOUT
-        // holding the jobs lock — a validated store lookup is disk I/O,
-        // and serializing it behind the registry lock would stall every
-        // concurrent submit and poll. The registry only grows, so a key
-        // absent here can at worst be inserted by a racing submitter
-        // before we re-take the lock; the Occupied arm handles that.
-        let probed: HashMap<&str, bool> = {
-            let jobs = self.jobs.lock().expect("jobs lock");
-            let need: Vec<usize> = (0..submitted.len())
-                .filter(|&i| !jobs.contains_key(&keys[i]))
-                .collect();
-            drop(jobs);
-            need.into_iter()
-                .map(|i| {
-                    // A hit means the job is already answered; corrupt
-                    // entries are left for the farm's own lookup (which
-                    // removes and re-runs them).
-                    let hit = matches!(
-                        self.farm.store().get(&keys[i], &submitted[i]),
-                        StoreLookup::Hit(_)
-                    );
-                    (keys[i].as_str(), hit)
-                })
+        // holding the registry lock — a validated store lookup is disk
+        // I/O, and serializing it behind the lock would stall every
+        // concurrent request. The registry only grows, so a key absent
+        // here can at worst be inserted by a racing submitter before we
+        // re-take the lock; the registered arms handle that.
+        let need: Vec<usize> = {
+            let reg = self.registry();
+            (0..submitted.len())
+                .filter(|&i| !reg.jobs.contains_key(&keys[i]))
                 .collect()
         };
+        let probed: HashMap<&str, bool> = need
+            .into_iter()
+            .map(|i| {
+                // A hit means the job is already answered; corrupt
+                // entries are left for the farm's own lookup (which
+                // removes and re-runs them).
+                let hit = matches!(
+                    self.farm.store().get(&keys[i], &submitted[i]),
+                    StoreLookup::Hit(_)
+                );
+                (keys[i].as_str(), hit)
+            })
+            .collect();
         let mut resolved = Vec::with_capacity(submitted.len());
-        let mut to_enqueue = Vec::new();
+        let mut enqueued = false;
         {
-            let mut jobs = self.jobs.lock().expect("jobs lock");
+            let mut reg = self.registry();
             for (job, key) in submitted.iter().zip(&keys) {
                 self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-                let (state, disposition) = match jobs.get_mut(key) {
-                    Some(rec) => match rec.state {
-                        JobState::Done => {
-                            self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                            (JobState::Done, Disposition::Cached)
-                        }
-                        JobState::Queued | JobState::Leased(_) | JobState::Running => {
-                            self.metrics.deduped.fetch_add(1, Ordering::Relaxed);
-                            (rec.state.clone(), Disposition::InFlight)
-                        }
-                        JobState::Failed(_) => {
-                            rec.state = JobState::Queued;
-                            self.metrics.requeued.fetch_add(1, Ordering::Relaxed);
-                            to_enqueue.push(key.clone());
-                            (JobState::Queued, Disposition::Requeued)
-                        }
-                    },
+                let (state, disposition) = match reg.jobs.get(key).map(|r| &r.state) {
+                    Some(JobState::Done) => {
+                        self.metrics.hits.fetch_add(1, Ordering::Relaxed);
+                        (JobState::Done, Disposition::Cached)
+                    }
+                    Some(JobState::Failed(_)) => {
+                        reg.requeue(key);
+                        enqueued = true;
+                        self.metrics.requeued.fetch_add(1, Ordering::Relaxed);
+                        (JobState::Queued, Disposition::Requeued)
+                    }
+                    Some(in_flight) => {
+                        self.metrics.deduped.fetch_add(1, Ordering::Relaxed);
+                        (in_flight.clone(), Disposition::InFlight)
+                    }
+                    None if probed.get(key.as_str()).copied().unwrap_or(false) => {
+                        self.metrics.hits.fetch_add(1, Ordering::Relaxed);
+                        reg.jobs
+                            .insert(key.clone(), JobRecord::new(job.clone(), JobState::Done));
+                        (JobState::Done, Disposition::Cached)
+                    }
                     None => {
-                        if probed.get(key.as_str()).copied().unwrap_or(false) {
-                            self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                            jobs.insert(key.clone(), JobRecord::new(job.clone(), JobState::Done));
-                            (JobState::Done, Disposition::Cached)
-                        } else {
-                            self.metrics.enqueued.fetch_add(1, Ordering::Relaxed);
-                            jobs.insert(key.clone(), JobRecord::new(job.clone(), JobState::Queued));
-                            to_enqueue.push(key.clone());
-                            (JobState::Queued, Disposition::Enqueued)
-                        }
+                        self.metrics.enqueued.fetch_add(1, Ordering::Relaxed);
+                        reg.jobs
+                            .insert(key.clone(), JobRecord::new(job.clone(), JobState::Queued));
+                        reg.queue.push_back(key.clone());
+                        enqueued = true;
+                        (JobState::Queued, Disposition::Enqueued)
                     }
                 };
                 resolved.push((key.clone(), state, disposition));
             }
         }
-        if !to_enqueue.is_empty() {
-            let mut queue = self.queue.lock().expect("queue lock");
-            queue.extend(to_enqueue);
-            drop(queue);
+        if enqueued {
             self.wake.notify_all();
         }
+        let batch = BatchRec {
+            keys: resolved.iter().map(|(k, _, _)| pack_key(k)).collect(),
+            settled_at: None,
+        };
         let n = self.batch_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.batches.lock().expect("batches lock").insert(
-            n,
-            BatchRec {
-                keys: resolved.iter().map(|(k, _, _)| pack_key(k)).collect(),
-                settled_at: None,
-            },
-        );
+        lock(&self.batches).insert(n, batch);
         (format!("b{n}"), resolved)
     }
 
     /// Current record of one job, by key.
     pub fn job(&self, key: &str) -> Option<JobRecord> {
-        self.jobs.lock().expect("jobs lock").get(key).cloned()
+        self.registry().jobs.get(key).cloned()
     }
 
     /// The keys of one batch plus each one's current record, in
     /// submission order. `None` for an unknown (or evicted) batch id.
     pub fn batch(&self, id: &str) -> Option<Vec<(String, Option<JobRecord>)>> {
-        let keys = self
-            .batches
-            .lock()
-            .expect("batches lock")
+        let keys = lock(&self.batches)
             .get(&batch_number(id)?)
             .map(|b| b.keys.clone())?;
-        let jobs = self.jobs.lock().expect("jobs lock");
+        let reg = self.registry();
         Some(
             keys.iter()
                 .map(|&k| {
                     let k = unpack_key(k);
-                    let rec = jobs.get(&k).cloned();
+                    let rec = reg.jobs.get(&k).cloned();
                     (k, rec)
                 })
                 .collect(),
@@ -561,15 +618,15 @@ impl ServeState {
 
     /// Batches still held in the registry.
     pub fn batch_count(&self) -> usize {
-        self.batches.lock().expect("batches lock").len()
+        lock(&self.batches).len()
     }
 
     /// Totals of the job registry by state:
     /// `(queued, leased, running, done, failed)`.
     pub fn job_totals(&self) -> (u64, u64, u64, u64, u64) {
-        let jobs = self.jobs.lock().expect("jobs lock");
+        let reg = self.registry();
         let mut t = (0, 0, 0, 0, 0);
-        for rec in jobs.values() {
+        for rec in reg.jobs.values() {
             match rec.state {
                 JobState::Queued => t.0 += 1,
                 JobState::Leased(_) => t.1 += 1,
@@ -589,7 +646,7 @@ impl ServeState {
         // Snapshot, judge, then stamp — three short critical sections,
         // never two locks held at once.
         let unsettled: Vec<(u64, Box<[u128]>)> = {
-            let batches = self.batches.lock().expect("batches lock");
+            let batches = lock(&self.batches);
             batches
                 .iter()
                 .filter(|(_, b)| b.settled_at.is_none())
@@ -598,11 +655,11 @@ impl ServeState {
         };
         let mut now_settled = Vec::new();
         if !unsettled.is_empty() {
-            let jobs = self.jobs.lock().expect("jobs lock");
+            let reg = self.registry();
             for (id, keys) in unsettled {
                 let all_settled = keys.iter().all(|&k| {
                     matches!(
-                        jobs.get(&unpack_key(k)).map(|r| &r.state),
+                        reg.jobs.get(&unpack_key(k)).map(|r| &r.state),
                         Some(JobState::Done) | Some(JobState::Failed(_))
                     )
                 });
@@ -611,7 +668,7 @@ impl ServeState {
                 }
             }
         }
-        let mut batches = self.batches.lock().expect("batches lock");
+        let mut batches = lock(&self.batches);
         let now = Instant::now();
         for id in now_settled {
             if let Some(b) = batches.get_mut(&id) {
@@ -676,7 +733,8 @@ impl ServeState {
             "serve.stream.rejected",
             m.streams_rejected.load(Ordering::Relaxed) as f64,
         );
-        self.fleet.fill_counters(&mut c);
+        c.set("serve.lock.poisoned", ptb_farm::poisoned_locks() as f64);
+        self.fill_fleet_counters(&mut c);
         for phase in RequestPhase::ALL {
             let (count, p50, p95, p99) = m.phase_summary(phase);
             let name = phase.name();
@@ -724,11 +782,14 @@ pub fn spawn_scheduler(state: Arc<ServeState>) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let _alive = AliveGuard(&state.scheduler_alive);
         loop {
-            let keys: Vec<String> = {
-                let mut queue = state.queue.lock().expect("queue lock");
+            // Drain and take in one critical section: only keys still
+            // Queued belong to us (a fleet claim or complete may have
+            // taken the rest).
+            let (keys, jobs): (Vec<String>, Vec<FarmJob>) = {
+                let mut reg = state.registry();
                 loop {
                     let stopping = state.stop.load(Ordering::SeqCst);
-                    if !queue.is_empty() && (stopping || state.local_may_run()) {
+                    if !reg.queue.is_empty() && (stopping || state.local_may_run(&reg)) {
                         break;
                     }
                     if stopping {
@@ -737,27 +798,24 @@ pub fn spawn_scheduler(state: Arc<ServeState>) -> JoinHandle<()> {
                     // Bounded wait: worker liveness can change without a
                     // queue notification (a worker going silent must
                     // eventually hand the queue back to local execution).
-                    let (q, _) = state
-                        .wake
-                        .wait_timeout(queue, Duration::from_millis(200))
-                        .expect("queue wait");
-                    queue = q;
+                    reg = wait_timeout(
+                        &state.registry,
+                        &state.wake,
+                        reg,
+                        Duration::from_millis(200),
+                    );
                 }
-                let take = queue.len().min(state.cfg.batch_max.max(1));
-                queue.drain(..take).collect()
-            };
-            // Only keys still Queued belong to us: a fleet `complete`
-            // that raced the drain has already settled its key.
-            let (keys, jobs): (Vec<String>, Vec<FarmJob>) = {
-                let mut registry = state.jobs.lock().expect("jobs lock");
-                keys.into_iter()
+                let take = reg.queue.len().min(state.cfg.batch_max.max(1));
+                let drained: Vec<String> = reg.queue.drain(..take).collect();
+                drained
+                    .into_iter()
                     .filter_map(|k| {
-                        let rec = registry.get_mut(&k)?;
+                        let rec = reg.jobs.get(&k)?;
                         if rec.state != JobState::Queued {
                             return None;
                         }
-                        rec.state = JobState::Running;
                         let job = rec.job.clone();
+                        reg.set_state(&k, JobState::Running);
                         Some((k, job))
                     })
                     .unzip()
@@ -774,14 +832,16 @@ pub fn spawn_scheduler(state: Arc<ServeState>) -> JoinHandle<()> {
             state
                 .metrics
                 .observe(RequestPhase::Execute, t0.elapsed().as_secs_f64() * 1e3);
-            let mut registry = state.jobs.lock().expect("jobs lock");
-            for ((key, job), outcome) in keys.iter().zip(&jobs).zip(outcomes) {
-                let rec = registry.get_mut(key).expect("running job is registered");
-                match outcome {
+            // Quarantine appends first, outside the lock; then every key
+            // settles in one critical section.
+            let settled: Vec<Option<String>> = keys
+                .iter()
+                .zip(&jobs)
+                .zip(outcomes)
+                .map(|((key, job), outcome)| match outcome {
                     Ok(_) => {
                         state.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                        rec.state = JobState::Done;
-                        rec.executed_by = Some("local".to_owned());
+                        None
                     }
                     Err(e) => {
                         state.metrics.failed.fetch_add(1, Ordering::Relaxed);
@@ -790,8 +850,15 @@ pub fn spawn_scheduler(state: Arc<ServeState>) -> JoinHandle<()> {
                         if let Err(qe) = state.farm.quarantine_job(job, &e) {
                             eprintln!("warning: cannot quarantine {key}: {qe}");
                         }
-                        rec.state = JobState::Failed(e.to_string());
+                        Some(e.to_string())
                     }
+                })
+                .collect();
+            let mut reg = state.registry();
+            for (key, failure) in keys.iter().zip(settled) {
+                match failure {
+                    None => reg.settle_done(key, "local"),
+                    Some(e) => reg.set_state(key, JobState::Failed(e)),
                 }
             }
         }
@@ -800,8 +867,8 @@ pub fn spawn_scheduler(state: Arc<ServeState>) -> JoinHandle<()> {
 
 /// Start the lease reaper: every `reaper_tick` it requeues (or, past
 /// `max_claims`, quarantines) jobs whose lease has expired, and sweeps
-/// the batch registry's TTL eviction. See `fleet::FleetState` for the
-/// lease table itself.
+/// the batch registry's TTL eviction. See `fleet` for the leases
+/// themselves.
 pub fn spawn_reaper(state: Arc<ServeState>) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let _alive = AliveGuard(&state.reaper_alive);

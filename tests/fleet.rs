@@ -8,7 +8,7 @@
 //! reports.
 
 use ptb_core::{MechanismKind, SimConfig};
-use ptb_farm::{Farm, FarmJob};
+use ptb_farm::{ChaosConfig, ChaosIo, Farm, FarmJob};
 use ptb_serve::{http_call, ServeConfig, ServerConfig};
 use ptb_workloads::{Benchmark, Scale};
 use serde::{json, Deserialize, Map, Serialize, Value};
@@ -390,6 +390,76 @@ fn fail_kinds_map_to_bounded_retry_or_quarantine() {
     );
     assert_eq!(status, 409, "no lease on an unknown key either");
     assert_eq!(counter(addr, "fleet.quarantined"), quarantined_before);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A job's state and the fleet's lease list are one record: after a
+/// failed upload by another worker, `/v1/jobs` reads `leased` exactly
+/// when `/v1/workers` lists a lease on the key, and the first claimant
+/// may heartbeat or fail the job only while that lease is its own
+/// (DESIGN §14: only the current lease holder may fail a job).
+#[test]
+fn a_failed_upload_leaves_the_job_and_its_lease_in_step() {
+    let dir = fleet_dir("leaseviews");
+    // Every store write fails with ENOSPC, a transient fault.
+    let chaos = ChaosIo::new(ChaosConfig {
+        enospc: 1.0,
+        ..ChaosConfig::uniform(7, 0.0)
+    });
+    let farm = Arc::new(Farm::open_with_io(dir.join("farm"), Arc::new(chaos)).expect("open farm"));
+    let handle = ptb_serve::start(
+        farm,
+        "127.0.0.1:0",
+        coordinator_cfg(),
+        ServerConfig::default(),
+    )
+    .expect("start server");
+    let addr = handle.addr();
+
+    let jobs = vec![job(Benchmark::Fft, MechanismKind::None, 2)];
+    let report = jobs[0].simulate();
+    post_json(addr, "/v1/batches", &submit_body(&jobs));
+    let (key, _, _) = claim(addr, "w1", Some(10_000)).expect("w1 claims the job");
+    let (status, v) = post_json(
+        addr,
+        &format!("/v1/work/{key}/complete"),
+        &worker_body("w2", &[("report", report.to_value())]),
+    );
+    assert_eq!(status, 503, "the store write fails transiently: {v:?}");
+
+    let (_, jv) = get_json(addr, &format!("/v1/jobs/{key}"));
+    let (_, wv) = get_json(addr, "/v1/workers");
+    let leases: Vec<Value> = arr_field(&wv, "leases")
+        .into_iter()
+        .filter(|l| str_field(l, "key") == key)
+        .collect();
+    assert_eq!(
+        str_field(&jv, "state") == "leased",
+        !leases.is_empty(),
+        "job {jv:?} against leases {wv:?}"
+    );
+    assert_eq!(counter(addr, "serve.lease.active"), leases.len() as f64);
+    let w1_holds = leases.iter().any(|l| str_field(l, "worker") == "w1");
+
+    let (status, v) = post_json(
+        addr,
+        &format!("/v1/work/{key}/heartbeat"),
+        &worker_body("w1", &[]),
+    );
+    assert_eq!(status == 200, w1_holds, "heartbeat: {v:?}");
+    let (status, v) = post_json(
+        addr,
+        &format!("/v1/work/{key}/fail"),
+        &worker_body("w1", &[("kind", Value::Str("fatal".into()))]),
+    );
+    assert_eq!(status == 200, w1_holds, "fail: {v:?}");
+    let (_, jv) = get_json(addr, &format!("/v1/jobs/{key}"));
+    assert_eq!(
+        str_field(&jv, "state") == "failed",
+        w1_holds,
+        "only the holder's verdict quarantines: {jv:?}"
+    );
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
