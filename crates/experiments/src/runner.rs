@@ -414,8 +414,8 @@ impl Sweep {
         self.failures.is_empty()
     }
 
-    /// Unwrap into plain reports, panicking if any job failed. The
-    /// bridge for callers that have already established completeness.
+    /// Unwrap into plain reports, panicking if any job failed.
+    #[cfg(test)]
     pub fn expect_complete(self) -> Vec<RunReport> {
         self.reports
             .into_iter()

@@ -59,7 +59,7 @@ impl Moesi {
     }
 
     /// Is this cache the designated supplier for forwards?
-    #[inline]
+    #[cfg(test)]
     pub fn owner_like(self) -> bool {
         matches!(self, Moesi::M | Moesi::O | Moesi::E)
     }

@@ -31,6 +31,7 @@ pub struct CoreMemStats {
 
 impl CoreMemStats {
     /// L1 hit rate in [0, 1]; 0 when no accesses.
+    #[cfg(test)]
     pub fn l1_hit_rate(&self) -> f64 {
         if self.l1_accesses == 0 {
             0.0

@@ -21,6 +21,7 @@ pub struct NocStats {
 
 impl NocStats {
     /// Mean end-to-end latency, or 0 if no messages were sent.
+    #[cfg(test)]
     pub fn avg_latency(&self) -> f64 {
         if self.messages == 0 {
             0.0
@@ -161,7 +162,8 @@ impl<T> Mesh<T> {
     }
 
     /// Minimum (uncontended) latency for a `bytes`-byte message over
-    /// `hops` links — useful for tests and analytic checks.
+    /// `hops` links: the oracle of the delivery property test.
+    #[cfg(test)]
     pub fn uncontended_latency(&self, hops: usize, bytes: u32) -> u64 {
         if hops == 0 {
             return 1;

@@ -135,7 +135,9 @@ impl EventRecorder {
         }
     }
 
-    /// Set the power-sample stride (1 = every cycle).
+    /// Set the power-sample stride (1 = every cycle; runs keep the
+    /// default of 64).
+    #[cfg(test)]
     pub fn with_sample_stride(mut self, stride: u64) -> Self {
         self.sample_stride = stride.max(1);
         self

@@ -35,7 +35,7 @@ use crate::fleet::{claim_response_value, CompleteOutcome, FailOutcome, FleetRefu
 use crate::http::{Request, Response};
 use crate::state::{JobRecord, JobState, RequestPhase, ServeState};
 use ptb_core::{RunReport, SimConfig, MAX_CORES};
-use ptb_farm::{FarmJob, StoreLookup};
+use ptb_farm::FarmJob;
 use ptb_workloads::Benchmark;
 use serde::{json, Deserialize, Map, Serialize, Value};
 use std::sync::Arc;
@@ -354,7 +354,7 @@ fn submit(state: &Arc<ServeState>, req: &Request) -> Response {
                 .map(|(key, jstate, disposition)| {
                     let mut j = Map::new();
                     j.insert("key".into(), Value::Str(key));
-                    j.insert("state".into(), Value::Str(jstate.name().to_string()));
+                    j.insert("state".into(), Value::Str(jstate.to_string()));
                     j.insert(
                         "disposition".into(),
                         Value::Str(disposition.name().to_string()),
@@ -368,37 +368,34 @@ fn submit(state: &Arc<ServeState>, req: &Request) -> Response {
     Response::json(200, json::to_string(&Value::Object(obj)))
 }
 
-fn record_value(key: &str, rec: Option<&JobRecord>) -> Value {
+/// The wire status of `key`: its job record while the job map holds it,
+/// else `done` when `settled` and `unknown` otherwise.
+fn record_value(key: &str, rec: Option<&JobRecord>, settled: bool) -> Value {
     let mut j = Map::new();
     j.insert("key".into(), Value::Str(key.to_string()));
-    match rec {
-        Some(rec) => {
-            j.insert("state".into(), Value::Str(rec.state.name().to_string()));
-            j.insert("label".into(), Value::Str(rec.job.label()));
-            if let JobState::Failed(err) = &rec.state {
-                j.insert("error".into(), Value::Str(err.clone()));
-            }
-        }
-        None => {
-            j.insert("state".into(), Value::Str("unknown".to_string()));
+    let state = match rec {
+        Some(rec) => rec.state.name(),
+        None if settled => "done",
+        None => "unknown",
+    };
+    j.insert("state".into(), Value::Str(state.to_string()));
+    if let Some(rec) = rec {
+        j.insert("label".into(), Value::Str(rec.job.label()));
+        if let JobState::Failed(err) = &rec.state {
+            j.insert("error".into(), Value::Str(err.clone()));
         }
     }
     Value::Object(j)
 }
 
-/// `GET /v1/batches/{id}`.
+/// `GET /v1/batches/{id}`. A key outside the job map counts as settled.
 fn batch_status(state: &Arc<ServeState>, id: &str) -> Response {
     let Some(entries) = state.batch(id) else {
         return Response::error(404, &format!("unknown batch {id:?}"));
     };
     let done = entries
         .iter()
-        .filter(|(_, r)| {
-            matches!(
-                r.as_ref().map(|r| &r.state),
-                Some(JobState::Done) | Some(JobState::Failed(_))
-            )
-        })
+        .filter(|(_, r, _)| !r.as_ref().is_some_and(|r| r.state.in_flight()))
         .count();
     let mut obj = Map::new();
     obj.insert("batch".into(), Value::Str(id.to_string()));
@@ -410,75 +407,67 @@ fn batch_status(state: &Arc<ServeState>, id: &str) -> Response {
         Value::Array(
             entries
                 .iter()
-                .map(|(k, r)| record_value(k, r.as_ref()))
+                .map(|(k, r, settled)| record_value(k, r.as_ref(), *settled))
                 .collect(),
         ),
     );
     Response::json(200, json::to_string(&Value::Object(obj)))
 }
 
-/// `GET /v1/jobs/{key}`.
+/// `GET /v1/jobs/{key}`: the job map's record, else `done` when the
+/// store holds the key's entry.
 fn job_status(state: &Arc<ServeState>, key: &str) -> Response {
-    match state.job(key) {
-        Some(rec) => Response::json(200, json::to_string(&record_value(key, Some(&rec)))),
-        None => {
-            // Not in this server's registry — it may still sit in the
-            // store from an earlier process.
-            match state.farm().store().read_entry(key) {
-                Ok(Some(_)) => {
-                    let mut j = Map::new();
-                    j.insert("key".into(), Value::Str(key.to_string()));
-                    j.insert("state".into(), Value::Str("done".to_string()));
-                    Response::json(200, json::to_string(&Value::Object(j)))
-                }
-                _ => Response::error(404, &format!("unknown job {key:?}")),
-            }
-        }
-    }
+    let status = match state.job(key) {
+        Some(rec) => record_value(key, Some(&rec), false),
+        None => match state.read_settled(key) {
+            Ok(Some(_)) => record_value(key, None, true),
+            _ => return Response::error(404, &format!("unknown job {key:?}")),
+        },
+    };
+    Response::json(200, json::to_string(&status))
 }
 
 /// `GET /v1/reports/{key}`: the stored report, serialized compactly —
 /// byte-identical to `json::to_string(&job.simulate().to_value())`.
 fn report(state: &Arc<ServeState>, key: &str) -> Response {
-    // Prefer the registry: it validates against the submitted config
-    // and distinguishes queued/running/failed from plain absence.
+    // The job map distinguishes queued/running/failed from plain
+    // absence; every other key is answered from the store.
     if let Some(rec) = state.job(key) {
-        match &rec.state {
-            JobState::Done => match state.farm().store().get(key, &rec.job) {
-                StoreLookup::Hit(report) => {
-                    return Response::json(200, json::to_string(&report.to_value()));
-                }
-                StoreLookup::Miss => {
-                    return Response::error(404, &format!("report for {key:?} has been removed"));
-                }
-                StoreLookup::Corrupt(e) => {
-                    // Retryable: a re-submit will re-run the job.
-                    return Response::error(503, &format!("stored entry is corrupt: {e}"));
-                }
-            },
-            JobState::Queued | JobState::Leased(_) | JobState::Running => {
-                return Response::error(409, &format!("job {key:?} is still {}", rec.state.name()));
+        return match &rec.state {
+            JobState::Failed(err) => Response::error(502, &format!("job failed: {err}")),
+            in_flight => {
+                Response::error(409, &format!("job {key:?} is still {}", in_flight.name()))
             }
-            JobState::Failed(err) => {
-                return Response::error(502, &format!("job failed: {err}"));
-            }
-        }
+        };
     }
-    // Never submitted here: serve straight from the store.
-    match state.farm().store().read_entry(key) {
+    match state.read_settled(key) {
         Ok(Some((_, report))) => Response::json(200, json::to_string(&report.to_value())),
         Ok(None) => Response::error(404, &format!("no report for {key:?}")),
-        Err(e) => Response::error(503, &format!("stored entry is corrupt: {e}")),
+        // Retryable: the entry is deleted and the key forgotten, so a
+        // re-submit re-runs the job.
+        Err(e) => Response::error(
+            503,
+            &format!("stored entry for {key:?} was corrupt ({e}); re-submit to recompute"),
+        ),
     }
 }
 
-/// The `"worker"` field every `/v1/work/*` body must carry.
-fn worker_name(body: &Value) -> Result<&str, Response> {
-    body.as_object()
-        .and_then(|o| o.get("worker"))
+/// The body of a `/v1/work/*` call: a JSON object, and the non-empty
+/// `"worker"` it must carry.
+fn work_body(req: &Request) -> Result<(Map, String), Response> {
+    let body =
+        json::parse(&req.body).map_err(|e| Response::error(400, &format!("bad JSON: {e}")))?;
+    let worker = body
+        .get("worker")
         .and_then(Value::as_str)
-        .filter(|w| !w.is_empty())
-        .ok_or_else(|| Response::error(400, "body must carry a non-empty \"worker\""))
+        .map(str::to_owned);
+    match (body, worker) {
+        (Value::Object(obj), Some(worker)) if !worker.is_empty() => Ok((obj, worker)),
+        _ => Err(Response::error(
+            400,
+            "body must carry a non-empty \"worker\"",
+        )),
+    }
 }
 
 fn ok_outcome(outcome: &str) -> Response {
@@ -492,20 +481,15 @@ fn ok_outcome(outcome: &str) -> Response {
 /// (`{"key", "job", "ttl_ms"}`) or `{"job": null}` when the queue has
 /// nothing claimable.
 fn work_claim(state: &Arc<ServeState>, req: &Request) -> Response {
-    let body = match json::parse(&req.body) {
-        Ok(v) => v,
-        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
-    };
-    let worker = match worker_name(&body) {
-        Ok(w) => w,
+    let (obj, worker) = match work_body(req) {
+        Ok(found) => found,
         Err(resp) => return resp,
     };
-    let ttl = body
-        .as_object()
-        .and_then(|o| o.get("ttl_ms"))
+    let ttl = obj
+        .get("ttl_ms")
         .and_then(Value::as_u64)
         .map(Duration::from_millis);
-    match state.claim(worker, ttl) {
+    match state.claim(&worker, ttl) {
         Some((key, job, granted)) => Response::json(
             200,
             json::to_string(&claim_response_value(&key, &job, granted)),
@@ -534,20 +518,15 @@ fn work_dispatch(state: &Arc<ServeState>, req: &Request, path: &str) -> Response
 /// `POST /v1/work/{key}/heartbeat`: `{"worker", "progress"?}` →
 /// `{"ok":true,"ttl_ms"}` or 409 once the lease has moved on.
 fn work_heartbeat(state: &Arc<ServeState>, req: &Request, key: &str) -> Response {
-    let body = match json::parse(&req.body) {
-        Ok(v) => v,
-        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
-    };
-    let worker = match worker_name(&body) {
-        Ok(w) => w,
+    let (obj, worker) = match work_body(req) {
+        Ok(found) => found,
         Err(resp) => return resp,
     };
-    let progress = body
-        .as_object()
-        .and_then(|o| o.get("progress"))
+    let progress = obj
+        .get("progress")
         .and_then(Value::as_str)
         .map(str::to_owned);
-    match state.heartbeat(worker, key, progress) {
+    match state.heartbeat(&worker, key, progress) {
         Ok(ttl) => {
             let mut m = Map::new();
             m.insert("ok".into(), Value::Bool(true));
@@ -561,22 +540,18 @@ fn work_heartbeat(state: &Arc<ServeState>, req: &Request, key: &str) -> Response
 
 /// `POST /v1/work/{key}/complete`: `{"worker", "report": {...}}`.
 fn work_complete(state: &Arc<ServeState>, req: &Request, key: &str) -> Response {
-    let body = match json::parse(&req.body) {
-        Ok(v) => v,
-        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
-    };
-    let worker = match worker_name(&body) {
-        Ok(w) => w,
+    let (obj, worker) = match work_body(req) {
+        Ok(found) => found,
         Err(resp) => return resp,
     };
-    let report = match body.as_object().and_then(|o| o.get("report")) {
+    let report = match obj.get("report") {
         Some(rv) => match RunReport::from_value(rv) {
             Ok(r) => r,
             Err(e) => return Response::error(400, &format!("bad \"report\": {e}")),
         },
         None => return Response::error(400, "body must carry \"report\""),
     };
-    match state.complete(worker, key, report) {
+    match state.complete(&worker, key, report) {
         CompleteOutcome::Stored => ok_outcome("stored"),
         CompleteOutcome::Duplicate => ok_outcome("duplicate"),
         CompleteOutcome::RacedLocal => ok_outcome("raced-local"),
@@ -596,15 +571,10 @@ fn work_complete(state: &Arc<ServeState>, req: &Request, key: &str) -> Response 
 /// `POST /v1/work/{key}/fail`: `{"worker", "kind", "message"?}` with
 /// `kind` one of `transient|fatal|timeout`.
 fn work_fail(state: &Arc<ServeState>, req: &Request, key: &str) -> Response {
-    let body = match json::parse(&req.body) {
-        Ok(v) => v,
-        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
-    };
-    let worker = match worker_name(&body) {
-        Ok(w) => w,
+    let (obj, worker) = match work_body(req) {
+        Ok(found) => found,
         Err(resp) => return resp,
     };
-    let obj = body.as_object().expect("worker_name checked object");
     let kind = match obj.get("kind").and_then(Value::as_str) {
         Some(k) => k,
         None => return Response::error(400, "body must carry \"kind\""),
@@ -613,7 +583,7 @@ fn work_fail(state: &Arc<ServeState>, req: &Request, key: &str) -> Response {
         .get("message")
         .and_then(Value::as_str)
         .unwrap_or("(no message)");
-    match state.fail(worker, key, kind, message) {
+    match state.fail(&worker, key, kind, message) {
         Ok(FailOutcome::Requeued { attempts }) => {
             let mut m = Map::new();
             m.insert("ok".into(), Value::Bool(true));
@@ -696,6 +666,37 @@ mod tests {
             .and_then(Value::as_f64)
             .unwrap_or(0.0);
         assert!(poisoned >= (before + 1) as f64, "poisoned = {poisoned}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Settled jobs leave the job map for the settled set, and their
+    /// re-submit answers `cached` without adding a record.
+    #[test]
+    fn settled_jobs_leave_the_job_map() {
+        let dir = std::env::temp_dir().join(format!("ptb-serve-settled-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let farm = Arc::new(Farm::open(&dir).expect("open farm"));
+        let state = Arc::new(ServeState::new(farm, ServeConfig::default()));
+        let scheduler = crate::state::spawn_scheduler(state.clone());
+        let body = r#"{"jobs":[{"bench":"fft","n_cores":2,"scale":"Test"},
+            {"bench":"fft","n_cores":2,"scale":"Test","mechanism":"Dvfs"},
+            {"bench":"radix","n_cores":2,"scale":"Test"}]}"#;
+        assert_eq!(call(&state, "POST", "/v1/batches", body).0, 200);
+        let deadline = Instant::now() + Duration::from_secs(300);
+        while state.registry().jobs.values().any(|r| r.state.in_flight()) {
+            assert!(Instant::now() < deadline, "jobs never settled");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert!(state.registry().jobs.is_empty());
+        assert_eq!(state.job_totals(), (0, 0, 0, 3, 0));
+
+        let (_, v) = call(&state, "POST", "/v1/batches", body);
+        let jobs = v.get("jobs").and_then(Value::as_array).expect("jobs");
+        let cached = |j: &Value| j.get("disposition").and_then(Value::as_str) == Some("cached");
+        assert!(jobs.iter().all(cached), "{v:?}");
+        assert!(state.registry().jobs.is_empty());
+        state.stop();
+        scheduler.join().expect("scheduler exits");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

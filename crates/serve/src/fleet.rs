@@ -4,23 +4,27 @@
 //! out. A claim moves a queued job to `Leased(lease)` under a
 //! monotonic-clock TTL; heartbeats extend it; `complete` uploads the
 //! report (verified against the content-addressed key, then committed
-//! through the same store path as local execution); `fail` maps the
-//! worker's typed fault onto the farm's retry/quarantine taxonomy. The
-//! reaper requeues expired leases so a SIGKILLed worker costs latency,
-//! never a result, and `max_claims` bounds how often a poison job can
-//! kill claimants before it is quarantined.
+//! through the same store path as local execution), and the settled job
+//! leaves the job map; `fail` maps the worker's typed fault onto the
+//! farm's retry/quarantine taxonomy. The reaper requeues expired leases
+//! so a SIGKILLed worker costs latency, never a result, and
+//! `max_claims` bounds how often a poison job can kill claimants before
+//! it is quarantined.
 //!
 //! ## Idempotency and divergence
 //!
 //! Workers retry over a faulty network, so every endpoint tolerates
 //! duplicate delivery. The interesting case is a duplicate `complete`:
-//! the first upload stores the report; a second upload for the same
-//! key is byte-compared against the stored one — identical bytes are
-//! acknowledged as a duplicate (the lost-ACK retry shape), while
-//! *divergent* bytes mean a determinism violation somewhere in the
-//! fleet and are refused, counted, and surfaced in `/v1/status` as a
-//! hard error. A simulation is deterministic; two honest workers can
-//! never disagree.
+//! the first upload stores the report; a later upload for the key, now
+//! outside the job map, is screened against the stored entry's job and
+//! byte-compared with its report — identical bytes are acknowledged as
+//! a duplicate (the lost-ACK retry shape), while *divergent* bytes mean
+//! a determinism violation somewhere in the fleet and are refused,
+//! counted, and surfaced in `/v1/status` as a hard error. A simulation
+//! is deterministic; two honest workers can never disagree. If the
+//! entry is lost or corrupt, the key is forgotten (`read_settled`) and
+//! the upload is refused as one for an unknown job: without the job it
+//! cannot be committed, and the next submit re-runs the job.
 //!
 //! ## Races, and why they are safe
 //!
@@ -46,9 +50,9 @@
 //!   duplicate path. Results are content-addressed, so "first" and
 //!   "second" are byte-identical by construction.
 
-use crate::state::{JobState, Registry, ServeState};
+use crate::state::{JobRecord, JobState, Registry, ServeState};
 use ptb_core::RunReport;
-use ptb_farm::{FarmJob, JobError, StoreLookup};
+use ptb_farm::{FarmJob, JobError};
 use serde::{json, Map, Serialize, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -145,6 +149,14 @@ impl Registry {
     pub(crate) fn remote_active(&self, grace: Duration) -> bool {
         self.workers.values().any(|w| w.last_seen.elapsed() < grace)
     }
+
+    /// Every live lease with its job, in no particular order.
+    fn leases(&self) -> impl Iterator<Item = (&String, &JobRecord, &LeaseRec)> {
+        self.jobs.iter().filter_map(|(key, rec)| match &rec.state {
+            JobState::Leased(lease) => Some((key, rec, lease)),
+            _ => None,
+        })
+    }
 }
 
 /// How a `complete` upload resolved.
@@ -206,19 +218,18 @@ impl ServeState {
 
     /// Leases currently live.
     pub(crate) fn lease_count(&self) -> usize {
-        self.registry().leased.len()
+        self.registry().leases().count()
     }
 
     /// The live leases by key, in key order.
     pub(crate) fn leases_snapshot(&self) -> Vec<(String, LeaseRec)> {
-        let reg = self.registry();
-        reg.leased
-            .iter()
-            .filter_map(|key| match &reg.jobs.get(key)?.state {
-                JobState::Leased(lease) => Some((key.clone(), LeaseRec::clone(lease))),
-                _ => None,
-            })
-            .collect()
+        let mut leases: Vec<(String, LeaseRec)> = self
+            .registry()
+            .leases()
+            .map(|(key, _, lease)| (key.clone(), lease.clone()))
+            .collect();
+        leases.sort_by(|a, b| a.0.cmp(&b.0));
+        leases
     }
 
     /// Snapshot of the worker registry.
@@ -241,7 +252,7 @@ impl ServeState {
         let m = &self.fleet;
         let (leases, workers) = {
             let reg = self.registry();
-            (reg.leased.len(), reg.workers.len())
+            (reg.leases().count(), reg.workers.len())
         };
         for (name, value) in [
             ("serve.lease.claimed", &m.claimed),
@@ -292,7 +303,7 @@ impl ServeState {
                 }
             };
             let lease = LeaseRec::new(worker, ttl, false);
-            reg.set_state(&key, JobState::Leased(Box::new(lease)));
+            reg.set_state(&key, JobState::Leased(lease));
             reg.note_worker(worker).claimed += 1;
             (key, job)
         };
@@ -336,31 +347,17 @@ impl ServeState {
     /// divergence are resolved by byte comparison (see module docs).
     pub fn complete(&self, worker: &str, key: &str, report: RunReport) -> CompleteOutcome {
         // Screen the upload and take the job in one critical section.
-        let (job, already_done) = {
+        let taken = 'take: {
             let mut guard = self.registry();
             let reg = &mut *guard;
             reg.note_worker(worker);
             let Some(rec) = reg.jobs.get(key) else {
-                return CompleteOutcome::Invalid(format!("unknown job {key:?}"));
+                break 'take None;
             };
-            // Cheap identity screen before the store's own embedded-job
-            // verification: the upload must at least claim to be this job.
-            let job = &rec.job;
-            if report.benchmark != job.bench.name()
-                || report.n_cores != job.config.n_cores
-                || report.mechanism != job.config.mechanism.label()
-            {
-                return CompleteOutcome::Invalid(format!(
-                    "report identifies as {}/{}/{}c but key {key} addresses {}",
-                    report.benchmark,
-                    report.mechanism,
-                    report.n_cores,
-                    job.label()
-                ));
+            if let Some(refused) = misidentified(key, &rec.job, &report) {
+                return refused;
             }
-            let job = job.clone();
             let lease = match &rec.state {
-                JobState::Done => None,
                 JobState::Running => {
                     self.fleet.complete_raced.fetch_add(1, Ordering::Relaxed);
                     return CompleteOutcome::RacedLocal;
@@ -370,28 +367,25 @@ impl ServeState {
                         "another completion for this key is in flight".into(),
                     );
                 }
-                JobState::Leased(l) if l.worker == worker => Some(LeaseRec {
+                JobState::Leased(l) if l.worker == worker => LeaseRec {
                     committing: true,
-                    ..LeaseRec::clone(l)
-                }),
+                    ..l.clone()
+                },
                 JobState::Leased(_) | JobState::Queued | JobState::Failed(_) => {
-                    Some(LeaseRec::new(worker, self.cfg.lease_default_ttl, true))
+                    LeaseRec::new(worker, self.cfg.lease_default_ttl, true)
                 }
             };
-            let already_done = lease.is_none();
-            if let Some(lease) = lease {
-                // The uploader holds the job while its commit is in
-                // flight, and the queue loses the key: the local
-                // scheduler cannot also run it.
-                reg.set_state(key, JobState::Leased(Box::new(lease)));
-                reg.queue.retain(|k| k != key);
-            }
-            (job, already_done)
+            let job = rec.job.clone();
+            // The uploader holds the job while its commit is in flight,
+            // and the queue loses the key: the local scheduler cannot
+            // also run it.
+            reg.set_state(key, JobState::Leased(lease));
+            reg.queue.retain(|k| k != key);
+            Some(job)
         };
-        let out = if already_done {
-            self.compare_against_store(key, &job, &report)
-        } else {
-            self.commit(worker, key, &job, &report)
+        let out = match taken {
+            Some(job) => self.commit(worker, key, &job, &report),
+            None => self.compare_against_store(key, &report),
         };
         match &out {
             CompleteOutcome::Duplicate => {
@@ -424,7 +418,7 @@ impl ServeState {
         let mut reg = self.registry();
         match written {
             Ok(()) => {
-                reg.settle_done(key, worker);
+                reg.settle_done(key);
                 reg.note_worker(worker).completed += 1;
                 self.metrics.completed.fetch_add(1, Ordering::Relaxed);
                 self.fleet.complete_stored.fetch_add(1, Ordering::Relaxed);
@@ -451,27 +445,21 @@ impl ServeState {
         }
     }
 
-    /// Byte-compare an uploaded report against the stored one.
-    fn compare_against_store(
-        &self,
-        key: &str,
-        job: &FarmJob,
-        report: &RunReport,
-    ) -> CompleteOutcome {
-        match self.farm.store().get(key, job) {
-            StoreLookup::Hit(stored) => {
-                let stored_bytes = json::to_string(&stored.to_value());
-                let uploaded_bytes = json::to_string(&report.to_value());
-                if stored_bytes == uploaded_bytes {
-                    CompleteOutcome::Duplicate
-                } else {
-                    CompleteOutcome::Divergent
-                }
-            }
-            // Done in the registry but not readable from the store
-            // (evicted or corrupt): treat the upload as authoritative
-            // by requeueing the key for a clean re-commit.
-            _ => CompleteOutcome::Retry("stored report unavailable for comparison".into()),
+    /// Screen an upload for a key outside the job map against the stored
+    /// entry's job, then byte-compare it with the stored report. A lost
+    /// or corrupt entry is forgotten by `ServeState::read_settled`, and
+    /// the upload is refused like one for a key never submitted.
+    fn compare_against_store(&self, key: &str, report: &RunReport) -> CompleteOutcome {
+        let Ok(Some((job, stored))) = self.read_settled(key) else {
+            return CompleteOutcome::Invalid(format!("unknown job {key:?}"));
+        };
+        if let Some(refused) = misidentified(key, &job, report) {
+            return refused;
+        }
+        if json::to_string(&stored.to_value()) == json::to_string(&report.to_value()) {
+            CompleteOutcome::Duplicate
+        } else {
+            CompleteOutcome::Divergent
         }
     }
 
@@ -569,19 +557,11 @@ impl ServeState {
     pub fn reap_expired_leases(&self) {
         let now = Instant::now();
         let expired = {
-            let mut guard = self.registry();
-            let reg = &mut *guard;
-            let expired: Vec<_> = reg
-                .leased
-                .iter()
-                .filter_map(|key| {
-                    let rec = reg.jobs.get(key)?;
-                    let JobState::Leased(lease) = &rec.state else {
-                        return None;
-                    };
-                    if lease.expires > now || lease.committing {
-                        return None;
-                    }
+            let mut reg = self.registry();
+            let mut expired: Vec<_> = reg
+                .leases()
+                .filter(|(_, _, lease)| lease.expires <= now && !lease.committing)
+                .map(|(key, rec, lease)| {
                     let poison = (rec.claims >= self.cfg.max_claims).then(|| {
                         let err = JobError::Failed {
                             message: format!(
@@ -593,9 +573,11 @@ impl ServeState {
                         };
                         (rec.job.clone(), err)
                     });
-                    Some((key.clone(), lease.worker.clone(), poison))
+                    (key.clone(), lease.worker.clone(), poison)
                 })
                 .collect();
+            // Requeue in key order, whatever the job map's hash order.
+            expired.sort_by(|a, b| a.0.cmp(&b.0));
             for (key, _, poison) in &expired {
                 match poison {
                     Some((_, err)) => reg.set_state(key, JobState::Failed(err.to_string())),
@@ -620,6 +602,23 @@ impl ServeState {
             self.wake.notify_all();
         }
     }
+}
+
+/// The refusal of an upload whose report does not identify as `job`: a
+/// cheap screen before the store's own embedded-job verification.
+fn misidentified(key: &str, job: &FarmJob, report: &RunReport) -> Option<CompleteOutcome> {
+    let same = report.benchmark == job.bench.name()
+        && report.n_cores == job.config.n_cores
+        && report.mechanism == job.config.mechanism.label();
+    (!same).then(|| {
+        CompleteOutcome::Invalid(format!(
+            "report identifies as {}/{}/{}c but key {key} addresses {}",
+            report.benchmark,
+            report.mechanism,
+            report.n_cores,
+            job.label()
+        ))
+    })
 }
 
 /// Claim-response wire form: `{"key", "job", "ttl_ms"}`. Kept here so

@@ -6,11 +6,21 @@
 //!
 //! A submitted job is identified by its farm content key. On submit:
 //!
-//! * key already `Done` (or its report is in the store) → answered as a
-//!   cache hit, nothing runs;
-//! * key `Queued`/`Running` → deduplicated against the in-flight job;
+//! * key `Queued`/`Leased`/`Running` → deduplicated against the
+//!   in-flight job;
 //! * key previously `Failed` → re-enqueued (a deliberate retry);
+//! * key in the settled set, or its report in the store → answered as a
+//!   cache hit, nothing runs;
 //! * otherwise → enqueued for the scheduler.
+//!
+//! ## Settled keys
+//!
+//! The job map holds only what the store cannot answer: queued, leased,
+//! running and failed jobs. A job that settles as done leaves it for the
+//! settled set (16 bytes a key, also fed by store-probe hits), and every
+//! other answer about its key comes from the store through
+//! `ServeState::read_settled`, which forgets a lost key and deletes a
+//! corrupt entry, so the next submit re-runs the job.
 //!
 //! The scheduler feeds batches to [`Farm::try_run_batch`], so every
 //! miss inherits the farm's full execution contract unchanged: journal
@@ -22,22 +32,23 @@
 //!
 //! ## One registry lock
 //!
-//! Jobs, the queue, fleet worker records and the divergence ledger sit
-//! in one [`Registry`] behind one mutex, with one condvar that wakes the
-//! scheduler. A fleet lease is the `Leased` state of its job, not a
-//! second record, so the job and its lease cannot disagree. Submit, the
-//! scheduler's drain, claim, heartbeat, complete, fail and the reaper
-//! each read and change a job in one critical section, and none holds a
-//! second lock: the batch registry has its own mutex and is never taken
-//! together with this one. Store reads and writes and journal and
-//! quarantine appends all run outside the lock. Every mutex is taken
-//! through [`ptb_farm::lock`], so a panicking holder costs only its own
-//! request.
+//! The job map, the settled set, the queue, fleet worker records and the
+//! divergence ledger sit in one [`Registry`] behind one mutex, with one
+//! condvar that wakes the scheduler. A fleet lease is the `Leased` state
+//! of its job, not a second record, so the job and its lease cannot
+//! disagree. Submit, the scheduler's drain, claim, heartbeat, complete,
+//! fail and the reaper each read and change a job in one critical
+//! section, and none holds a second lock: the batch registry has its own
+//! mutex and is never taken together with this one. Store reads and
+//! writes and journal and quarantine appends all run outside the lock.
+//! Every mutex is taken through [`ptb_farm::lock`], so a panicking
+//! holder costs only its own request.
 
 use crate::fleet::{FleetMetrics, LeaseRec, WorkerRec};
+use ptb_core::RunReport;
 use ptb_farm::{lock, wait_timeout, ExecConfig, Farm, FarmJob, StoreLookup};
 use ptb_obs::CounterRegistry;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -97,18 +108,16 @@ impl Default for ServeConfig {
     }
 }
 
-/// Lifecycle of one submitted job.
+/// Lifecycle of one job in the job map. A job that settles as done
+/// leaves the map; its wire state is then `done` (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobState {
     /// Waiting for the scheduler or a fleet claim.
     Queued,
-    /// Leased to a fleet worker: the lease lives here and nowhere else
-    /// (boxed, so the registry's many settled records stay small).
-    Leased(Box<LeaseRec>),
+    /// Leased to a fleet worker: the lease lives here and nowhere else.
+    Leased(LeaseRec),
     /// Handed to the local executor.
     Running,
-    /// Report available in the store.
-    Done,
     /// Failed (retries exhausted, panic, or timeout); quarantined.
     Failed(String),
 }
@@ -120,9 +129,13 @@ impl JobState {
             JobState::Queued => "queued",
             JobState::Leased(_) => "leased",
             JobState::Running => "running",
-            JobState::Done => "done",
             JobState::Failed(_) => "failed",
         }
+    }
+
+    /// Queued, leased or running: not yet settled either way.
+    pub fn in_flight(&self) -> bool {
+        !matches!(self, JobState::Failed(_))
     }
 }
 
@@ -138,10 +151,6 @@ pub struct JobRecord {
     pub claims: u32,
     /// Remote transient failures reported for this key.
     pub remote_attempts: u32,
-    /// Who produced the stored report: `Some("local")` or a fleet
-    /// worker's name. `None` until the job settles (or when it was
-    /// answered straight from a pre-existing store entry).
-    pub executed_by: Option<String>,
 }
 
 impl JobRecord {
@@ -152,7 +161,6 @@ impl JobRecord {
             state,
             claims: 0,
             remote_attempts: 0,
-            executed_by: None,
         }
     }
 }
@@ -161,13 +169,14 @@ impl JobRecord {
 /// one registry lock (see the module docs).
 #[derive(Default)]
 pub(crate) struct Registry {
+    /// Queued, leased, running and failed jobs.
     pub(crate) jobs: HashMap<String, JobRecord>,
+    /// Packed keys this server has seen stored: settled here, or hit by
+    /// a submit's store probe. Never also in `jobs`.
+    pub(crate) settled: HashSet<u128>,
     /// Keys waiting for the scheduler or a claim, oldest first.
     /// Consumers skip a key that is no longer `Queued`.
     pub(crate) queue: VecDeque<String>,
-    /// Keys whose state is `Leased`, so the reaper and `/v1/workers`
-    /// cost O(live leases): the job map never evicts.
-    pub(crate) leased: BTreeSet<String>,
     /// Fleet workers by self-reported name.
     pub(crate) workers: HashMap<String, WorkerRec>,
     /// `(key, worker)` pairs whose uploads diverged from stored bytes.
@@ -175,18 +184,11 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
-    /// Move the registered job `key` to `state`. This is the only
-    /// writer of a registered job's state, which keeps `leased` in step.
+    /// Move the registered job `key` to `state`.
     pub(crate) fn set_state(&mut self, key: &str, state: JobState) {
-        let Some(rec) = self.jobs.get_mut(key) else {
-            return;
-        };
-        if matches!(state, JobState::Leased(_)) {
-            self.leased.insert(key.to_owned());
-        } else {
-            self.leased.remove(key);
+        if let Some(rec) = self.jobs.get_mut(key) {
+            rec.state = state;
         }
-        rec.state = state;
     }
 
     /// Return `key` to the queue.
@@ -195,13 +197,11 @@ impl Registry {
         self.queue.push_back(key.to_owned());
     }
 
-    /// Mark `key` done, its report stored by `by` (`"local"` or a
-    /// worker's name).
-    pub(crate) fn settle_done(&mut self, key: &str, by: &str) {
-        self.set_state(key, JobState::Done);
-        if let Some(rec) = self.jobs.get_mut(key) {
-            rec.executed_by = Some(by.to_owned());
-        }
+    /// `key`'s report is stored: the job leaves the job map and its key
+    /// joins the settled set.
+    pub(crate) fn settle_done(&mut self, key: &str) {
+        self.jobs.remove(key);
+        self.settled.insert(pack_key(key));
     }
 }
 
@@ -215,8 +215,10 @@ pub(crate) struct BatchRec {
     pub(crate) settled_at: Option<Instant>,
 }
 
-/// A job key as a batch stores it. Keys come from [`FarmJob::key`],
-/// which always spells 128 bits as 32 lowercase hex digits.
+/// A job key as a batch and the settled set store it. Callers pass a
+/// [`FarmJob::key`] or a URL key that `ResultStore::path_for` accepted,
+/// both 32 lowercase hex digits, so the `expect` cannot fire; unchecked,
+/// a leading `+` or uppercase digits would alias a settled key.
 fn pack_key(key: &str) -> u128 {
     u128::from_str_radix(key, 16).expect("FarmJob::key is 32 hex digits")
 }
@@ -292,7 +294,7 @@ impl LatencyRing {
             return (0, 0.0, 0.0, 0.0);
         }
         let mut xs = self.buf.clone();
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        xs.sort_by(f64::total_cmp);
         (
             self.count,
             ptb_metrics::percentile(&xs, 50.0),
@@ -360,7 +362,8 @@ impl RequestPhase {
 pub struct ServeMetrics {
     /// Jobs received across all submits.
     pub submitted: AtomicU64,
-    /// Jobs answered from the store (or already `Done`).
+    /// Jobs answered `cached`: in the settled set, or hit by the
+    /// submit's store probe.
     pub hits: AtomicU64,
     /// Jobs identical to one queued/running.
     pub deduped: AtomicU64,
@@ -510,64 +513,60 @@ impl ServeState {
     }
 
     /// Register a batch of jobs, deduplicating by content key. Returns
-    /// the batch id and one `(key, state, disposition)` per job, in
+    /// the batch id and one `(key, wire state, disposition)` per job, in
     /// submission order.
     pub fn submit(
         &self,
         submitted: Vec<FarmJob>,
-    ) -> (String, Vec<(String, JobState, Disposition)>) {
+    ) -> (String, Vec<(String, &'static str, Disposition)>) {
         let keys: Vec<String> = submitted.iter().map(FarmJob::key).collect();
-        // Probe the store for keys not yet in the registry WITHOUT
+        let packed: Box<[u128]> = keys.iter().map(|k| pack_key(k)).collect();
+        // Probe the store for keys the registry does not hold WITHOUT
         // holding the registry lock — a validated store lookup is disk
         // I/O, and serializing it behind the lock would stall every
-        // concurrent request. The registry only grows, so a key absent
-        // here can at worst be inserted by a racing submitter before we
-        // re-take the lock; the registered arms handle that.
+        // concurrent request. Before the lock is taken again a key may
+        // settle, be forgotten or be enqueued by a racing submitter, so
+        // the arms below read the job map first, then the settled set,
+        // then the probe; a key with no hit is enqueued, and the
+        // scheduler's `try_run_batch` looks it up in the store again.
         let need: Vec<usize> = {
             let reg = self.registry();
             (0..submitted.len())
-                .filter(|&i| !reg.jobs.contains_key(&keys[i]))
+                .filter(|&i| !reg.jobs.contains_key(&keys[i]) && !reg.settled.contains(&packed[i]))
                 .collect()
         };
-        let probed: HashMap<&str, bool> = need
+        // Corrupt entries are left for the farm's own lookup, which
+        // removes and re-runs them.
+        let hits: HashSet<usize> = need
             .into_iter()
-            .map(|i| {
-                // A hit means the job is already answered; corrupt
-                // entries are left for the farm's own lookup (which
-                // removes and re-runs them).
-                let hit = matches!(
+            .filter(|&i| {
+                matches!(
                     self.farm.store().get(&keys[i], &submitted[i]),
                     StoreLookup::Hit(_)
-                );
-                (keys[i].as_str(), hit)
+                )
             })
             .collect();
         let mut resolved = Vec::with_capacity(submitted.len());
         let mut enqueued = false;
         {
             let mut reg = self.registry();
-            for (job, key) in submitted.iter().zip(&keys) {
+            for (i, (job, key)) in submitted.iter().zip(&keys).enumerate() {
                 self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
                 let (state, disposition) = match reg.jobs.get(key).map(|r| &r.state) {
-                    Some(JobState::Done) => {
-                        self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                        (JobState::Done, Disposition::Cached)
-                    }
                     Some(JobState::Failed(_)) => {
                         reg.requeue(key);
                         enqueued = true;
                         self.metrics.requeued.fetch_add(1, Ordering::Relaxed);
-                        (JobState::Queued, Disposition::Requeued)
+                        ("queued", Disposition::Requeued)
                     }
                     Some(in_flight) => {
                         self.metrics.deduped.fetch_add(1, Ordering::Relaxed);
-                        (in_flight.clone(), Disposition::InFlight)
+                        (in_flight.name(), Disposition::InFlight)
                     }
-                    None if probed.get(key.as_str()).copied().unwrap_or(false) => {
+                    None if hits.contains(&i) || reg.settled.contains(&packed[i]) => {
                         self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                        reg.jobs
-                            .insert(key.clone(), JobRecord::new(job.clone(), JobState::Done));
-                        (JobState::Done, Disposition::Cached)
+                        reg.settled.insert(packed[i]);
+                        ("done", Disposition::Cached)
                     }
                     None => {
                         self.metrics.enqueued.fetch_add(1, Ordering::Relaxed);
@@ -575,7 +574,7 @@ impl ServeState {
                             .insert(key.clone(), JobRecord::new(job.clone(), JobState::Queued));
                         reg.queue.push_back(key.clone());
                         enqueued = true;
-                        (JobState::Queued, Disposition::Enqueued)
+                        ("queued", Disposition::Enqueued)
                     }
                 };
                 resolved.push((key.clone(), state, disposition));
@@ -585,7 +584,7 @@ impl ServeState {
             self.wake.notify_all();
         }
         let batch = BatchRec {
-            keys: resolved.iter().map(|(k, _, _)| pack_key(k)).collect(),
+            keys: packed,
             settled_at: None,
         };
         let n = self.batch_seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -593,14 +592,36 @@ impl ServeState {
         (format!("b{n}"), resolved)
     }
 
-    /// Current record of one job, by key.
+    /// Current record of one job in the job map, by key.
     pub fn job(&self, key: &str) -> Option<JobRecord> {
         self.registry().jobs.get(key).cloned()
     }
 
-    /// The keys of one batch plus each one's current record, in
-    /// submission order. `None` for an unknown (or evicted) batch id.
-    pub fn batch(&self, id: &str) -> Option<Vec<(String, Option<JobRecord>)>> {
+    /// The stored entry of `key`, a key outside the job map: its
+    /// embedded job and report. A missing entry forgets the key, and a
+    /// corrupt one (`Err`) is deleted first, as `Farm`'s own lookup
+    /// does, so the next submit probes the store, misses and re-runs
+    /// the job. A key that is not a content key has no entry.
+    pub(crate) fn read_settled(&self, key: &str) -> Result<Option<(FarmJob, RunReport)>, String> {
+        let store = self.farm.store();
+        if store.path_for(key).is_none() {
+            return Ok(None);
+        }
+        let entry = store.read_entry(key);
+        if let Err(reason) = &entry {
+            eprintln!("[serve] discarding entry {key}: {reason}");
+            store.remove(key);
+        }
+        if !matches!(entry, Ok(Some(_))) {
+            self.registry().settled.remove(&pack_key(key));
+        }
+        entry
+    }
+
+    /// The keys of one batch, in submission order, each with its job
+    /// record while the job map holds it and whether the settled set
+    /// does. `None` for an unknown (or evicted) batch id.
+    pub fn batch(&self, id: &str) -> Option<Vec<(String, Option<JobRecord>, bool)>> {
         let keys = lock(&self.batches)
             .get(&batch_number(id)?)
             .map(|b| b.keys.clone())?;
@@ -608,9 +629,9 @@ impl ServeState {
         Some(
             keys.iter()
                 .map(|&k| {
-                    let k = unpack_key(k);
-                    let rec = reg.jobs.get(&k).cloned();
-                    (k, rec)
+                    let key = unpack_key(k);
+                    let rec = reg.jobs.get(&key).cloned();
+                    (key, rec, reg.settled.contains(&k))
                 })
                 .collect(),
         )
@@ -622,25 +643,25 @@ impl ServeState {
     }
 
     /// Totals of the job registry by state:
-    /// `(queued, leased, running, done, failed)`.
+    /// `(queued, leased, running, done, failed)`, where `done` is the
+    /// size of the settled set.
     pub fn job_totals(&self) -> (u64, u64, u64, u64, u64) {
         let reg = self.registry();
-        let mut t = (0, 0, 0, 0, 0);
+        let mut t = (0, 0, 0, reg.settled.len() as u64, 0);
         for rec in reg.jobs.values() {
             match rec.state {
                 JobState::Queued => t.0 += 1,
                 JobState::Leased(_) => t.1 += 1,
                 JobState::Running => t.2 += 1,
-                JobState::Done => t.3 += 1,
                 JobState::Failed(_) => t.4 += 1,
             }
         }
         t
     }
 
-    /// Sweep the batch registry: stamp newly settled batches (every job
-    /// `Done`/`Failed`) and evict those settled longer than `batch_ttl`
-    /// ago. Returns how many were evicted. Called from the reaper tick;
+    /// Sweep the batch registry: stamp newly settled batches (no job in
+    /// flight) and evict those settled longer than `batch_ttl` ago.
+    /// Returns how many were evicted. Called from the reaper tick;
     /// public so tests can drive it directly.
     pub fn sweep_batches(&self) -> usize {
         // Snapshot, judge, then stamp — three short critical sections,
@@ -658,10 +679,9 @@ impl ServeState {
             let reg = self.registry();
             for (id, keys) in unsettled {
                 let all_settled = keys.iter().all(|&k| {
-                    matches!(
-                        reg.jobs.get(&unpack_key(k)).map(|r| &r.state),
-                        Some(JobState::Done) | Some(JobState::Failed(_))
-                    )
+                    !reg.jobs
+                        .get(&unpack_key(k))
+                        .is_some_and(|r| r.state.in_flight())
                 });
                 if all_settled {
                     now_settled.push(id);
@@ -857,7 +877,7 @@ pub fn spawn_scheduler(state: Arc<ServeState>) -> JoinHandle<()> {
             let mut reg = state.registry();
             for (key, failure) in keys.iter().zip(settled) {
                 match failure {
-                    None => reg.settle_done(key, "local"),
+                    None => reg.settle_done(key),
                     Some(e) => reg.set_state(key, JobState::Failed(e)),
                 }
             }

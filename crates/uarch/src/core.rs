@@ -207,6 +207,7 @@ impl Core {
     }
 
     /// Local (core) cycle count.
+    #[cfg(test)]
     pub fn local_cycle(&self) -> u64 {
         self.now
     }

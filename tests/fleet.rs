@@ -291,6 +291,59 @@ fn duplicate_completions_are_idempotent_and_divergence_is_a_hard_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A late upload for a settled key whose store entry is gone has
+/// nothing to compare with and no job to commit: it is refused with a
+/// 4xx naming the key unknown (not a 503 the worker would retry), the
+/// key is forgotten, and the next submit runs the job through the fleet
+/// again.
+#[test]
+fn a_lost_entry_refuses_late_uploads_and_re_runs_through_the_fleet() {
+    let dir = fleet_dir("lostentry");
+    let handle = coordinator(&dir, coordinator_cfg());
+    let addr = handle.addr();
+
+    let jobs = vec![job(Benchmark::Fft, MechanismKind::None, 2)];
+    let report = jobs[0].simulate();
+    let complete = |worker: &str, key: &str| {
+        post_json(
+            addr,
+            &format!("/v1/work/{key}/complete"),
+            &worker_body(worker, &[("report", report.to_value())]),
+        )
+    };
+    post_json(addr, "/v1/batches", &submit_body(&jobs));
+    let (key, _, _) = claim(addr, "w1", Some(5_000)).expect("claim");
+    let (status, v) = complete("w1", &key);
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(str_field(&v, "outcome"), "stored");
+
+    let entry = handle
+        .state()
+        .farm()
+        .store()
+        .path_for(&key)
+        .expect("a content key");
+    std::fs::remove_file(&entry).expect("delete the entry");
+    let (status, v) = complete("w2", &key);
+    assert!((400..500).contains(&status), "{status}: {v:?}");
+    assert!(str_field(&v, "error").contains("unknown job"), "{v:?}");
+
+    let (_, v) = post_json(addr, "/v1/batches", &submit_body(&jobs));
+    let resolved = arr_field(&v, "jobs");
+    assert_eq!(str_field(&resolved[0], "disposition"), "enqueued", "{v:?}");
+    let (again, _, _) = claim(addr, "w3", Some(5_000)).expect("the job is claimable again");
+    assert_eq!(again, key);
+    let (status, v) = complete("w3", &key);
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(str_field(&v, "outcome"), "stored");
+    let (status, served) =
+        http_call(addr, "GET", &format!("/v1/reports/{key}"), None).expect("fetch");
+    assert_eq!(status, 200);
+    assert_eq!(served, json::to_string(&report.to_value()));
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn fail_kinds_map_to_bounded_retry_or_quarantine() {
     let dir = fleet_dir("failkinds");

@@ -63,6 +63,32 @@ fn poll_batch(addr: SocketAddr, id: &str) {
     }
 }
 
+/// Submit `jobs`; the batch id and the resolved job objects.
+fn submit(addr: SocketAddr, jobs: &[FarmJob]) -> (String, Vec<Value>) {
+    let (status, resp) =
+        http_call(addr, "POST", "/v1/batches", Some(&submit_body(jobs))).expect("submit");
+    assert_eq!(status, 200, "{resp}");
+    let v = json::parse(&resp).expect("submit JSON");
+    let resolved = v
+        .get("jobs")
+        .and_then(Value::as_array)
+        .cloned()
+        .expect("resolved jobs");
+    (str_field(&v, "batch"), resolved)
+}
+
+/// The `jobs` totals of `GET /v1/status`, in wire order.
+fn job_totals(addr: SocketAddr) -> [u64; 5] {
+    let (status, sv) = get_json(addr, "/v1/status");
+    assert_eq!(status, 200);
+    ["queued", "leased", "running", "done", "failed"].map(|name| {
+        sv.get("jobs")
+            .and_then(|j| j.get(name))
+            .and_then(Value::as_u64)
+            .unwrap_or(u64::MAX)
+    })
+}
+
 fn str_field(v: &Value, name: &str) -> String {
     v.as_object()
         .and_then(|o| o.get(name))
@@ -166,7 +192,9 @@ fn batch_lifecycle_serves_byte_identical_reports_and_dedups_resubmits() {
     assert_eq!(counter("serve.failed"), 0.0);
     assert!(counter("serve.latency.report.p99_ms") >= 0.0);
 
-    // Status reflects the settled registry and the populated store.
+    // Status reflects the settled registry and the populated store:
+    // both jobs have left the job map, and the settled set holds them.
+    assert_eq!(job_totals(addr), [0, 0, 0, 2, 0]);
     let (status, sv) = get_json(addr, "/v1/status");
     assert_eq!(status, 200);
     let entries = sv
@@ -227,6 +255,60 @@ fn fresh_server_serves_cold_store_and_shorthand_jobs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A settled key whose store entry is then corrupted or deleted heals
+/// without a restart: the report answers 503 (and the corrupt file is
+/// deleted) or 404, the next submit enqueues the job, and it settles
+/// again with the bytes of a direct run.
+#[test]
+fn a_corrupt_or_deleted_entry_re_runs_on_the_next_submit() {
+    let dir = serve_dir("lostentry");
+    let farm = Arc::new(Farm::open(dir.join("farm")).expect("open farm"));
+    let handle = ptb_serve::start(
+        farm.clone(),
+        "127.0.0.1:0",
+        ServeConfig {
+            sim_threads: 2,
+            ..ServeConfig::default()
+        },
+        ServerConfig::default(),
+    )
+    .expect("start server");
+    let addr = handle.addr();
+
+    let jobs = [
+        job(Benchmark::Fft, MechanismKind::None, 2),
+        job(Benchmark::Radix, MechanismKind::None, 2),
+    ];
+    let (batch, _) = submit(addr, &jobs);
+    poll_batch(addr, &batch);
+    for (j, corrupt) in jobs.iter().zip([true, false]) {
+        let key = j.key();
+        let entry = farm.store().path_for(&key).expect("a content key");
+        if corrupt {
+            let mut bytes = std::fs::read(&entry).expect("read the entry");
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x20;
+            std::fs::write(&entry, bytes).expect("flip one byte");
+        } else {
+            std::fs::remove_file(&entry).expect("delete the entry");
+        }
+        let report_path = format!("/v1/reports/{key}");
+        let (status, body) = http_call(addr, "GET", &report_path, None).expect("fetch");
+        assert_eq!(status, if corrupt { 503 } else { 404 }, "{body}");
+        assert!(!entry.exists(), "the corrupt entry is deleted");
+
+        let (batch, resolved) = submit(addr, std::slice::from_ref(j));
+        assert_eq!(str_field(&resolved[0], "disposition"), "enqueued");
+        poll_batch(addr, &batch);
+        let (status, served) = http_call(addr, "GET", &report_path, None).expect("fetch");
+        assert_eq!(status, 200, "{served}");
+        assert_eq!(served, json::to_string(&j.simulate().to_value()));
+    }
+    assert_eq!(job_totals(addr), [0, 0, 0, 2, 0]);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn protocol_errors_are_json_and_never_kill_the_server() {
     let dir = serve_dir("protocol");
@@ -272,16 +354,20 @@ fn protocol_errors_are_json_and_never_kill_the_server() {
 /// above the store. Every ancestor level of the farm dir holds a
 /// well-formed entry for the key that would resolve to it, in both the
 /// frame and the older JSON envelope, so a server that joined the key
-/// into a path would answer 200 (or 503) instead of 404.
+/// into a path would answer 200 (or 503) instead of 404. Nor is any
+/// other spelling of a settled key one: uppercase or with a leading `+`
+/// (both of which `u128::from_str_radix` reads) it is a 4xx on every
+/// route that takes a key.
 #[test]
 fn traversal_keys_cannot_reach_files_outside_the_store() {
     let dir = serve_dir("traversal");
     let farm_dir = dir.join("a/b/c/d/e/f/farm");
     let farm = Arc::new(Farm::open(&farm_dir).expect("open farm"));
     let seeded = job(Benchmark::Fft, MechanismKind::None, 2);
+    let report = seeded.simulate();
     let (job_json, report_json) = (
         json::to_string(&seeded.to_value()),
-        json::to_string(&seeded.simulate().to_value()),
+        json::to_string(&report.to_value()),
     );
     let keys: Vec<String> = (1..=6)
         .map(|n| format!("{}outside", "../".repeat(n)))
@@ -305,6 +391,11 @@ fn traversal_keys_cannot_reach_files_outside_the_store() {
         .unwrap();
         level.pop();
     }
+    // The seeded job is stored, and a submit's store probe settles it.
+    let key = seeded.key();
+    farm.store()
+        .put(&key, &seeded, &report)
+        .expect("store the seeded job");
     let handle = ptb_serve::start(
         farm,
         "127.0.0.1:0",
@@ -313,13 +404,32 @@ fn traversal_keys_cannot_reach_files_outside_the_store() {
     )
     .expect("start server");
     let addr = handle.addr();
-    for key in &keys {
+    let (_, resolved) = submit(addr, std::slice::from_ref(&seeded));
+    assert_eq!(str_field(&resolved[0], "disposition"), "cached");
+    let (status, _) = get_json(addr, &format!("/v1/reports/{key}"));
+    assert_eq!(status, 200, "the key itself is served");
+
+    let mut upload = Map::new();
+    upload.insert("worker".into(), Value::Str("w1".into()));
+    upload.insert("report".into(), report.to_value());
+    let upload = json::to_string(&Value::Object(upload));
+    let spellings = [
+        key.to_uppercase(),
+        format!("+{key}"),
+        format!("+{}", &key[1..]),
+    ];
+    for spelling in spellings.iter().chain(&keys) {
         for endpoint in ["reports", "jobs"] {
-            let path = format!("/v1/{endpoint}/{key}");
+            let path = format!("/v1/{endpoint}/{spelling}");
             let (status, body) = http_call(addr, "GET", &path, None).expect("round-trip");
             assert_eq!(status, 404, "GET {path}: {body}");
         }
+        let path = format!("/v1/work/{spelling}/complete");
+        let (status, body) = http_call(addr, "POST", &path, Some(&upload)).expect("round-trip");
+        assert!((400..500).contains(&status), "POST {path}: {status} {body}");
     }
+    let (status, _) = get_json(addr, "/healthz");
+    assert_eq!(status, 200);
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
